@@ -1,8 +1,6 @@
 """The chase: semi-oblivious Skolem engine, variants, provenance, termination.
 
-Resource limits live on :class:`ChaseBudget` — the ``max_rounds=`` /
-``max_atoms=`` kwargs accepted directly by :func:`chase` are deprecated.
-A typical bounded run::
+Resource limits live on :class:`ChaseBudget`.  A typical bounded run::
 
     from repro.chase import ChaseBudget, chase
     from repro.workloads.generators import edge_cycle
@@ -17,11 +15,11 @@ A typical bounded run::
 budget; ``on_exceeded="raise"`` turns the same limit into a
 :class:`ChaseBudgetExceeded`.
 
-``chase(..., workers=N)`` runs each round on a process pool with a
-deterministic merge; results are atom-for-atom identical to the
-sequential engine (Skolem determinism, Observation 8).  See
-``docs/performance.md`` for tuning guidance and the ``parallel.*``
-telemetry counters.
+``chase(..., backend="columnar")`` (the default) runs datalog-shaped
+rules as hash joins over interned term ids; ``backend="memory"`` forces
+the object engine.  Both are atom-for-atom identical (Skolem
+determinism, Observation 8).  See ``docs/performance.md`` for tuning
+guidance and the telemetry counters.
 """
 
 from .explain import DerivationNode, derivation_tree, explain, explain_answer

@@ -158,15 +158,6 @@ class ChaseBudget:
     :class:`ChaseBudgetExceeded`.  Instances are frozen so they can be
     shared across runs and stored on sessions.
 
-    ``workers`` is the round executor's process count: ``1`` (the
-    default) evaluates rounds in-process, ``N > 1`` partitions each
-    round's trigger matching across ``N`` worker processes (see
-    :mod:`repro.chase.parallel`) — same result atom-for-atom.
-    ``worker_max_atoms`` optionally caps the atoms any single worker may
-    produce in one round (a per-worker memory guard); an overrun is a
-    budget overrun at round granularity, handled per ``on_exceeded``
-    with the overflowing round left unapplied.
-
     ``deadline_s`` bounds the run by wall clock (monotonic, anchored
     when the run starts): the engine checks it at round boundaries and
     on a stride inside long rounds, abandons the round in flight without
@@ -178,48 +169,13 @@ class ChaseBudget:
     max_rounds: int = 50
     max_atoms: int = 200_000
     on_exceeded: str = "return"
-    workers: int = 1
-    worker_max_atoms: int | None = None
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.on_exceeded not in ("return", "raise"):
             raise ValueError("on_exceeded must be 'return' or 'raise'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.worker_max_atoms is not None and self.worker_max_atoms < 1:
-            raise ValueError("worker_max_atoms must be positive when set")
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("deadline_s must be non-negative when set")
-
-
-_LEGACY_BUDGET_MESSAGE = (
-    "the max_rounds=/max_atoms=/on_budget= kwargs were removed (deprecated "
-    "since 1.1); pass budget=ChaseBudget(max_rounds=..., max_atoms=..., "
-    "on_exceeded=...) instead"
-)
-
-
-def _coerce_budget(
-    budget: ChaseBudget | None,
-    default: ChaseBudget,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
-    on_budget: str | None = None,
-) -> ChaseBudget:
-    """Resolve the budget, rejecting the removed legacy kwargs."""
-    legacy = [
-        key
-        for key, value in (
-            ("max_rounds", max_rounds),
-            ("max_atoms", max_atoms),
-            ("on_budget", on_budget),
-        )
-        if value is not None
-    ]
-    if legacy:
-        raise TypeError(f"{_LEGACY_BUDGET_MESSAGE} (got {', '.join(legacy)}=)")
-    return budget if budget is not None else default
 
 
 @dataclass(frozen=True)
@@ -468,15 +424,12 @@ class RoundOutcome:
     ``produced`` maps each genuinely new atom to its recorded derivation
     (first producer in the executor's deterministic enumeration order);
     ``matches`` counts every sigma applied, ``dedup_hits`` every head
-    atom that was already present.  ``overflow`` signals a per-worker
-    budget overrun — the round loop then treats the round as a budget
-    overrun *without* applying its atoms.
+    atom that was already present.
     """
 
     produced: dict[Atom, Derivation]
     matches: int
     dedup_hits: int
-    overflow: bool = False
 
 
 class SequentialRoundExecutor:
@@ -485,8 +438,8 @@ class SequentialRoundExecutor:
     One round = one pass over the prepared rules, enumerating this
     round's matches via :func:`_round_matches` and deduplicating head
     atoms against the current instance and the round's own production.
-    :class:`repro.chase.parallel.ParallelRoundExecutor` implements the
-    same ``run_round`` contract across worker processes.
+    :class:`repro.chase.columnar_kernel.ColumnarRoundExecutor` implements
+    the same ``run_round`` contract over interned term ids.
 
     ``control`` (a :class:`_RunControl`, set by :func:`_run_rounds`) is
     consulted at every rule boundary and every
@@ -614,13 +567,6 @@ def _run_rounds(
                 seconds=round(time.perf_counter() - round_started, 6),
             )
             break
-        if outcome.overflow:
-            if budget.on_exceeded == "raise":
-                raise ChaseBudgetExceeded(
-                    f"a chase worker exceeded worker_max_atoms="
-                    f"{budget.worker_max_atoms} in round {round_number}"
-                )
-            break
         produced = outcome.produced
         matches = outcome.matches
         dedup_hits = outcome.dedup_hits
@@ -721,12 +667,8 @@ def chase(
     track_provenance: bool = True,
     semi_naive: bool = True,
     telemetry: Telemetry | None = None,
-    workers: int | None = None,
     backend: str | None = None,
     cancel: CancellationToken | None = None,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
-    on_budget: str | None = None,
 ) -> ChaseResult:
     """Run the semi-oblivious Skolem chase.
 
@@ -746,15 +688,6 @@ def chase(
     store-backed chase has its own entry point
     (:func:`repro.storage.chase_into_store`).
 
-    ``workers`` selects the round executor: ``N > 1`` evaluates each
-    round's trigger matches across ``N`` worker processes (see
-    :mod:`repro.chase.parallel`) and merges the production
-    deterministically — the rounds are identical to the sequential
-    engine's, set-for-set.  ``None`` defers to ``budget.workers``.  When
-    multiprocessing is unavailable or the workload does not serialize,
-    the chase degrades to the in-process executor and flags
-    ``parallel.fallback_inprocess`` in the stats — never an error.
-
     ``cancel`` accepts a :class:`CancellationToken`; together with
     ``budget.deadline_s`` it bounds the run by events rather than work:
     a triggered token or expired deadline stops the chase at a clean
@@ -769,13 +702,8 @@ def chase(
 
     ``telemetry`` lets callers supply a hook-carrying collector; by default
     a fresh one is created and returned as ``ChaseResult.stats``.
-
-    .. versionchanged:: 1.2
-        The ``max_rounds=`` / ``max_atoms=`` / ``on_budget=`` kwargs
-        (deprecated since 1.1) now raise ``TypeError``; pass
-        ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(budget, ChaseBudget(), max_rounds, max_atoms, on_budget)
+    budget = budget if budget is not None else ChaseBudget()
     backend_name = _resolve_chase_backend(backend)
     telemetry = telemetry if telemetry is not None else Telemetry()
     prepared = _prepare_rules(theory)
@@ -783,23 +711,11 @@ def chase(
     round_added: list[frozenset[Atom]] = [frozenset(base)]
     derivations: dict[Atom, Derivation] = {}
 
-    requested_workers = workers if workers is not None else budget.workers
     executor: SequentialRoundExecutor | None = None
-    if requested_workers > 1:
-        from .parallel import make_round_executor
+    if backend_name == "columnar":
+        from .columnar_kernel import make_columnar_executor
 
-        executor = make_round_executor(
-            prepared, theory, current, budget, telemetry, requested_workers
-        )
-    else:
-        if workers is not None:
-            # Parallelism was explicitly (if trivially) requested; record
-            # the in-process degrade so callers can tell the paths apart.
-            telemetry.counters["parallel.fallback_inprocess"] = 1
-        if backend_name == "columnar":
-            from .columnar_kernel import make_columnar_executor
-
-            executor = make_columnar_executor(prepared, current, telemetry)
+        executor = make_columnar_executor(prepared, current, telemetry)
 
     try:
         with telemetry.timer("chase"):
@@ -839,8 +755,6 @@ def resume(
     budget: ChaseBudget | None = None,
     backend: str | None = None,
     cancel: CancellationToken | None = None,
-    max_atoms: int | None = None,
-    on_budget: str | None = None,
 ) -> ChaseResult:
     """Continue a chase for more rounds, reusing the computed prefix.
 
@@ -853,14 +767,8 @@ def resume(
     ``backend`` selects the round kernel exactly as in :func:`chase`;
     ``cancel`` and ``budget.deadline_s`` bound the continuation the same
     way they bound a fresh run.
-
-    .. versionchanged:: 1.2
-        The ``max_atoms=`` / ``on_budget=`` kwargs (deprecated since
-        1.1) now raise ``TypeError``; pass ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(
-        budget, ChaseBudget(), max_atoms=max_atoms, on_budget=on_budget
-    )
+    budget = budget if budget is not None else ChaseBudget()
     backend_name = _resolve_chase_backend(backend)
     if result.terminated or extra_rounds <= 0:
         return result
@@ -923,8 +831,6 @@ def chase_to_fixpoint(
     theory: Theory,
     base: Instance,
     budget: ChaseBudget | None = None,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
 ) -> ChaseResult:
     """Chase until a fixpoint, raising when budgets are exceeded.
 
@@ -932,17 +838,9 @@ def chase_to_fixpoint(
     chase on ``base``; the error keeps non-terminating cases loud.  Limits
     come from ``budget`` (a :class:`ChaseBudget`; ``on_exceeded`` is
     forced to ``"raise"`` here).
-
-    .. versionchanged:: 1.2
-        The ``max_rounds=`` / ``max_atoms=`` kwargs (deprecated since
-        1.1) now raise ``TypeError``; pass ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(
-        budget,
-        ChaseBudget(max_rounds=200, max_atoms=500_000),
-        max_rounds,
-        max_atoms,
-    )
+    if budget is None:
+        budget = ChaseBudget(max_rounds=200, max_atoms=500_000)
     budget = replace(budget, on_exceeded="raise")
     result = chase(theory, base, budget=budget)
     if not result.terminated:

@@ -1,15 +1,15 @@
 """Deterministic fault injection for the chaos test-suite.
 
-The fault-tolerance layer (deadlines, cancellation, worker retry, durable
+The fault-tolerance layer (deadlines, cancellation, lock retry, durable
 store-chase rounds, atomic checkpoints — see ``docs/robustness.md``) is
 only trustworthy if its failure paths are *executed*, not just written.
 This registry lets tests arm named faults at precise points of a run:
 
 >>> from repro import faults
->>> faults.inject("parallel.worker_death", round=3)
->>> # ... run a chase with workers=2: the coordinator SIGKILLs worker 0
->>> # just before dispatching round 3, exercising the respawn-and-retry
->>> # path end to end ...
+>>> faults.inject("sqlite.locked", times=2)
+>>> # ... run a store chase: its next two guarded statements raise a
+>>> # synthetic "database is locked", exercising the backoff-and-retry
+>>> # path end to end (store.lock_retries counts them) ...
 >>> faults.clear()
 
 Injection points call :func:`fire` with their site name (and the current
@@ -17,10 +17,6 @@ round where one exists); ``fire`` returns ``True`` exactly when an armed
 fault matches, consuming one of its remaining ``times``.  The registered
 sites:
 
-``parallel.worker_death``
-    coordinator kills worker 0 (SIGKILL) before dispatching the round;
-``parallel.respawn_fail``
-    the replacement worker's spawn raises, forcing the in-process degrade;
 ``storechase.kill``
     the store chase SIGKILLs its own process just *before* committing the
     round — the round's rows and meta roll back, simulating a crash at

@@ -20,15 +20,9 @@ join engine answer them — the literal reading of the BDD property, where
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..chase.engine import (
-    CancellationToken,
-    ChaseBudget,
-    ChaseResult,
-    _coerce_budget,
-    chase,
-)
+from ..chase.engine import CancellationToken, ChaseBudget, ChaseResult, chase
 from ..logic.containment import evaluate_ucq
 from ..logic.homomorphism import evaluate
 from ..logic.instance import Instance
@@ -109,37 +103,25 @@ def answer_by_materialization(
     depth: int | None = None,
     budget: ChaseBudget | None = None,
     prepared: ChaseResult | None = None,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
     cancel: "CancellationToken | None" = None,
 ) -> set[tuple[Term, ...]]:
     """Certain answers via chasing.
 
     With ``depth`` given, chase that many rounds (sound and complete when
-    ``depth >= n_query`` for a BDD theory).  Without it, chase to a
-    fixpoint within ``budget`` and fail loudly otherwise.  Resource
-    limits are a :class:`repro.chase.engine.ChaseBudget`; pass
-    ``budget=ChaseBudget(max_rounds=..., max_atoms=...)``.  Answers are
-    restricted to base-domain tuples — certain answers over labelled
-    nulls are not answers.
-
-    .. versionchanged:: 1.2
-        The ``max_rounds=`` / ``max_atoms=`` kwargs (deprecated since
-        1.1) now raise ``TypeError``; pass ``budget=ChaseBudget(...)``.
+    ``depth >= n_query`` for a BDD theory); ``depth`` overrides only
+    ``budget.max_rounds``, so the atom cap, ``on_exceeded`` and
+    ``deadline_s`` still apply.  Without it, chase to a fixpoint within
+    ``budget`` (a :class:`repro.chase.engine.ChaseBudget`) and fail
+    loudly otherwise.  Answers are restricted to base-domain tuples —
+    certain answers over labelled nulls are not answers.
     """
-    budget = _coerce_budget(
-        budget,
-        DEFAULT_ANSWER_CHASE_BUDGET,
-        max_rounds,
-        max_atoms,
-    )
+    if budget is None:
+        budget = DEFAULT_ANSWER_CHASE_BUDGET
     if prepared is not None:
         result = prepared
     else:
         if depth is not None:
-            budget = ChaseBudget(
-                max_rounds=depth, max_atoms=budget.max_atoms, on_exceeded=budget.on_exceeded
-            )
+            budget = replace(budget, max_rounds=depth)
         result = chase(theory, instance, budget=budget, cancel=cancel)
         if depth is None and not result.terminated:
             raise RuntimeError(

@@ -174,24 +174,26 @@ class TestResumeEquivalence:
 
 class TestBudgetAPI:
     def test_legacy_kwargs_removed(self):
-        # The pre-ChaseBudget kwargs (deprecated in 1.1) are gone: every
-        # entry point rejects them with a pointer at ChaseBudget.
+        # The pre-ChaseBudget kwargs are gone from every entry point:
+        # Python itself rejects them as unknown keywords.
         theory = parse_theory("P(x) -> Q(x)")
         base = parse_instance("P(a)")
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match="max_rounds"):
             chase(theory, base, max_rounds=2)
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match="max_atoms"):
             chase(theory, base, max_atoms=10)
+        with pytest.raises(TypeError, match="on_budget"):
+            chase(theory, base, on_budget="raise")
         truncated = chase(
             theory,
             parse_instance("Human(abel)"),
             budget=ChaseBudget(max_rounds=1),
         )
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match="max_atoms"):
             resume(truncated, 1, max_atoms=10)
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match="max_rounds"):
             chase_to_fixpoint(theory, base, max_rounds=5)
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match="max_rounds"):
             answer_by_materialization(
                 theory, parse_query("q(x) := Q(x)"), base, max_rounds=5
             )
