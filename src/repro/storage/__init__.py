@@ -5,8 +5,9 @@ through :func:`resolve_backend`): ``"memory"`` adapts the in-RAM
 ``Instance``, ``"columnar"`` holds interned id tuples with per-position
 hash indexes (the columnar chase kernel's data plane), ``"sqlite"``
 persists facts with UCQ rewritings compiled to SQL, chase
-checkpoint/resume, and a store-backed chase whose peak RSS is bounded by
-its batch size instead of the instance.
+checkpoint/resume, and a store-backed chase whose rounds run as
+``INSERT … SELECT`` statements inside SQLite, so no fact becomes a
+Python object.
 
 Layout:
 

@@ -13,12 +13,17 @@ only in a :class:`~repro.storage.sqlite.SQLiteStore`:
   delta-touching sigma is enumerated exactly once, and facts inserted
   mid-round — tagged ``r`` — are invisible to the round's own joins,
   preserving Definition 6's round semantics);
-* head atoms are produced **id-natively**: the SELECT rows are term-id
-  tuples, Skolem terms are interned from child ids
-  (:meth:`~repro.storage.sqlite.SQLiteStore.intern_function`) and the
-  rows go back via batched ``INSERT OR IGNORE`` — no Python ``Term`` or
-  ``Atom`` objects exist for the facts themselves, so peak RSS is
-  bounded by the batch size, not the instance;
+* each plan runs **set-at-a-time**: one ``INSERT … SELECT`` fills a
+  temp sigma table with the plan's triggers (term-id rows), one
+  ``INSERT … SELECT`` per head atom records the support edges of the
+  genuinely new facts (one derivation each: the first sigma row), and
+  one ``INSERT OR IGNORE … SELECT`` per head atom writes the facts.
+  Sigma rows never enter Python; only a Skolem head's distinct argument
+  tuples do, once per plan, to be interned from child ids
+  (:meth:`~repro.storage.sqlite.SQLiteStore.intern_function`) into a
+  temp map the head insert joins.  No ``Term`` or ``Atom`` objects exist
+  for the facts themselves; the working set is one plan's sigma table
+  in SQLite's (in-memory) temp store, not the instance;
 * the chase state (theory, completed rounds, termination) is persisted
   in the store's meta table after every round, so a budget-stopped run
   is resumable from disk — by Observation 8 and Skolem-naming
@@ -29,9 +34,10 @@ only in a :class:`~repro.storage.sqlite.SQLiteStore`:
   the database at the last complete round and
   :func:`resume_store_chase` continues exactly — see
   ``docs/robustness.md``.  Deadlines (``ChaseBudget.deadline_s``) and
-  :class:`~repro.chase.engine.CancellationToken` are honoured at round
-  boundaries and inside long rounds; an interrupted round is rolled
-  back, never half-applied.
+  :class:`~repro.chase.engine.CancellationToken` are honoured at rule
+  boundaries and, through a SQLite progress handler, inside a single
+  long statement; an interrupted round is rolled back, never
+  half-applied.
 
 Not supported here: rules with *universal head variables* (the ``T_d``
 style ``true -> exists z. R(x, z)`` rules, whose head ranges over the
@@ -44,6 +50,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sqlite3
 import time
 from dataclasses import dataclass
 
@@ -56,7 +63,6 @@ from ..chase.engine import (
     _RunControl,
     note_interruption,
 )
-from ..chase.planner import CONTROL_CHECK_STRIDE
 from ..chase.skolem import skolemize
 from ..logic.instance import Instance
 from ..logic.terms import Constant, FunctionTerm, Variable
@@ -98,14 +104,43 @@ class StoreChaseResult:
         return self.store.digest()
 
 
-# A head-slot recipe, resolved per sigma row: ("v", i) copies the i-th
-# projected body variable, ("f", functor, indices) interns a Skolem term
-# over those row positions, ("c", term_id) is a pre-interned constant.
-_Slot = tuple
+# How many SQLite VM instructions pass between deadline/cancellation
+# polls while a single round statement runs.
+_PROGRESS_STEPS = 10_000
+
+
+# Scratch tables in SQLite's temp schema, named by their widths: a rule
+# plan's sigma rows (body variables in ``var_order``, one row per
+# trigger) and the Skolem-term ids interned for them (one row per
+# distinct frontier tuple, one id column per functor).  Each use clears
+# them first, so rows left by an earlier plan never leak into the next.
+def _sigma_table(width: int) -> str:
+    return f"temp.repro_sigma_{width}"
+
+
+def _fmap_table(rule: "_StoreRule") -> str:
+    return f"temp.repro_skolem_{len(rule.frontier)}_{len(rule.functors)}"
+
+
+def _key_sql(predicate, pieces: "list[str]") -> "tuple[str, str]":
+    """A :func:`fact_key` built in SQL from id expressions: ``(sql, prefix)``.
+
+    The SQL reads ``? || a || ',' || b``; its one parameter is the
+    ``name/arity:`` prefix.
+    """
+    sql = "?" if not pieces else "? || " + " || ',' || ".join(pieces)
+    return sql, f"{predicate.name}/{predicate.arity}:"
 
 
 class _StoreRule:
-    """A rule compiled for id-native application against a store."""
+    """A rule compiled for set-at-a-time application against a store.
+
+    A sigma row holds the body variables in ``var_order`` (at least one
+    column: a variable-free body yields the constant ``1``).  Each head
+    atom keeps one SQL expression per argument: a sigma column ``s.v<i>``,
+    a Skolem-map column ``f.id<j>`` (the j-th of ``functors``, applied to
+    the ``frontier`` columns) or a constant's term id.
+    """
 
     def __init__(self, rule, store: SQLiteStore) -> None:
         if rule.universal_head_variables():
@@ -114,7 +149,6 @@ class _StoreRule:
                 "the store-backed chase does not enumerate the active domain "
                 "(use the in-memory engine with repro.storage.checkpoint)"
             )
-        self.rule = rule
         skolemized = skolemize(rule)
         self.body = tuple(rule.body)
         var_order: list[Variable] = []
@@ -123,96 +157,180 @@ class _StoreRule:
                 if isinstance(term, Variable) and term not in var_order:
                     var_order.append(term)
         self.var_order = tuple(var_order)
+        self.width = max(1, len(var_order))
         index_of = {var: i for i, var in enumerate(var_order)}
+        # Every Skolem term of a rule ranges over the same frontier.
+        self.frontier = tuple(index_of[var] for var in skolemized.frontier_order)
+        self.functors: "list[str]" = []
         self.head_specs: list[tuple] = []
         for item in skolemized.head:
-            slots: list[_Slot] = []
+            slots: list[str] = []
             for term in item.args:
                 if isinstance(term, Variable):
-                    slots.append(("v", index_of[term]))
+                    slots.append(f"s.v{index_of[term]}")
                 elif isinstance(term, FunctionTerm):
-                    slots.append(
-                        ("f", term.functor, tuple(index_of[arg] for arg in term.args))
-                    )
+                    if term.functor not in self.functors:
+                        self.functors.append(term.functor)
+                    slots.append(f"f.id{self.functors.index(term.functor)}")
                 elif isinstance(term, Constant):
-                    slots.append(("c", store.intern_term(term)))
+                    slots.append(str(store.intern_term(term)))
                 else:  # pragma: no cover - the parser admits nothing else
                     raise StoreChaseError(f"unsupported head term {term!r}")
-            self.head_specs.append((item.predicate, tuple(slots)))
-        # Body-atom recipes for provenance: each body atom rendered as a
-        # fact key per sigma row, recorded as the (child, parent) support
-        # edges that ``update_store_chase`` walks to over-delete a
-        # retraction's cone.  ``None`` when a body term shape falls
-        # outside variable/constant (nothing the parser emits today).
-        body_specs: "list[tuple] | None" = []
-        for item in self.body:
-            slots = []
-            for term in item.args:
-                if isinstance(term, Variable):
-                    slots.append(("v", index_of[term]))
-                elif isinstance(term, Constant):
-                    slots.append(("c", store.intern_term(term)))
-                else:
-                    body_specs = None
-                    break
-            if body_specs is None:
-                break
-            body_specs.append((item.predicate, tuple(slots)))
-        self.body_specs = body_specs
-
-    def parent_keys(self, row: tuple) -> "list[str] | None":
-        """The body image of one sigma row, as fact keys (or ``None``)."""
-        if self.body_specs is None:
-            return None
-        keys = []
-        for predicate, slots in self.body_specs:
-            ids = tuple(
-                row[slot[1]] if slot[0] == "v" else slot[1] for slot in slots
+            self.head_specs.append((item.predicate, slots))
+        # The body image of a sigma row as fact-key SQL, one per body
+        # atom: the parents of the (child, parent) support edges that
+        # ``update_store_chase`` walks to over-delete a retraction's cone.
+        self.parent_key_sql = [
+            _key_sql(
+                item.predicate,
+                [
+                    f"s.v{index_of[term]}"
+                    if isinstance(term, Variable)
+                    else str(store.intern_term(term))
+                    for term in item.args
+                ],
             )
-            keys.append(fact_key(predicate, ids))
-        return keys
+            for item in self.body
+        ]
 
-    def round_plans(self, round_number: int) -> "list[list]":
+    def round_plans(self, round_number: int, full_pass: bool) -> "list[list]":
         """The per-alias round bounds to evaluate this round's matches.
 
-        Round 1 is one full pass over the base (everything is round 0);
-        later rounds get one semi-naive plan per pivot position.
+        A full pass is one plan over every fact of earlier rounds (round
+        1 reads the base, everything at round 0); other rounds get one
+        semi-naive plan per pivot position.
         """
         last = round_number - 1
-        if round_number == 1:
-            return [[("le", 0)] * len(self.body)]
-        plans = []
-        for pivot in range(len(self.body)):
-            bounds: list = []
-            for position in range(len(self.body)):
-                if position < pivot:
-                    bounds.append(("lt", last))
-                elif position == pivot:
-                    bounds.append(("eq", last))
-                else:
-                    bounds.append(("le", last))
-            plans.append(bounds)
-        return plans
+        width = len(self.body)
+        if full_pass:
+            return [[("le", last)] * width]
+        return [
+            [("lt", last)] * pivot
+            + [("eq", last)]
+            + [("le", last)] * (width - pivot - 1)
+            for pivot in range(width)
+        ]
 
+    def fill_sigma(self, store: SQLiteStore, bounds) -> int:
+        """Replace the sigma table with one plan's triggers; returns their count.
 
-def _apply_rule(rule: _StoreRule, row: tuple, store: SQLiteStore) -> "list[tuple]":
-    """Head fact rows (as id tuples, paired with predicates) for one sigma."""
-    out = []
-    for predicate, slots in rule.head_specs:
-        ids = []
-        for slot in slots:
-            if slot[0] == "v":
-                ids.append(row[slot[1]])
-            elif slot[0] == "f":
-                ids.append(
-                    store.intern_function(
-                        slot[1], tuple(row[i] for i in slot[2])
-                    )
+        ``bounds`` is ``None`` for a bodyless rule, whose one trigger is
+        the empty substitution.
+        """
+        sigma = _sigma_table(self.width)
+        store._select(f"DELETE FROM {sigma}")
+        if not self.body:
+            sql, params = "SELECT 1", ()
+        else:
+            compiled = build_select(
+                self.body, self.var_order, store, round_bounds=bounds, distinct=False
+            )
+            if compiled is None:
+                return 0  # a body predicate has no fact table yet
+            sql, params = compiled.sql, compiled.params
+        return store._guarded(
+            lambda: store._select(f"INSERT INTO {sigma} {sql}", params)
+        ).rowcount
+
+    def intern_skolems(self, store: SQLiteStore) -> None:
+        """Intern the Skolem terms of the sigma rows into the temp map.
+
+        The distinct frontier tuples are read once and each functor is
+        applied with :meth:`~repro.storage.sqlite.SQLiteStore.intern_function`,
+        so the terms (and ``store.terms_interned``) are exactly those a
+        row-at-a-time pass would intern.
+        """
+        fmap = _fmap_table(self)
+        store._select(f"DELETE FROM {fmap}")
+        if self.frontier:
+            columns = ", ".join(f"v{i}" for i in self.frontier)
+            args = store._select(
+                f"SELECT DISTINCT {columns} FROM {_sigma_table(self.width)}"
+            ).fetchall()
+        else:
+            args = [()]
+        rows = [
+            ids + tuple(store.intern_function(f, ids) for f in self.functors)
+            for ids in args
+        ]
+        marks = ", ".join("?" for _ in range(len(self.frontier) + len(self.functors)))
+        store.connection.executemany(f"INSERT INTO {fmap} VALUES ({marks})", rows)
+
+    def apply_head(
+        self, store: SQLiteStore, predicate, columns: "list[str]", round_number: int
+    ) -> int:
+        """Record supports for, then insert, one head atom's images.
+
+        The support edges go in first: each head image absent from the
+        fact table gets the body image of its first sigma row as parents,
+        so every genuinely new fact has exactly one recorded derivation
+        and facts that already exist gain none — a base fact with edges
+        would look derived, and a retraction's cascade could delete it.
+        Returns how many facts were new.
+        """
+        table = store.table_for(predicate, create=True)
+        # The head images: sigma rows ``s`` joined to the Skolem map ``f``.
+        source = f"{_sigma_table(self.width)} AS s"
+        if self.functors:
+            on = " AND ".join(f"f.k{k} = s.v{i}" for k, i in enumerate(self.frontier))
+            source += f" JOIN {_fmap_table(self)} AS f" + (f" ON {on}" if on else "")
+        if self.body:
+            names = [f"c{i}" for i in range(len(columns))]
+            child, child_prefix = _key_sql(predicate, [f"h.{n}" for n in names])
+            image = "".join(f", {c} AS {n}" for c, n in zip(columns, names))
+            grouped = f" GROUP BY {', '.join(names)}" if names else ""
+            absent = "".join(
+                f"{' AND' if i else ' WHERE'} a{i} = g.{n}"
+                for i, n in enumerate(names)
+            )
+            branches = " UNION ALL ".join(
+                f"SELECT {child}, {parent} FROM h "
+                f"JOIN {_sigma_table(self.width)} AS s ON s.rowid = h.first"
+                for parent, _ in self.parent_key_sql
+            )
+            params = []
+            for _, parent_prefix in self.parent_key_sql:
+                params += [child_prefix, parent_prefix]
+            store._guarded(
+                lambda: store._select(
+                    "INSERT OR IGNORE INTO repro_supports (child, parent) "
+                    "WITH h AS (SELECT * FROM (SELECT MIN(s.rowid) AS first"
+                    f"{image} FROM {source}{grouped}) AS g "
+                    f"WHERE NOT EXISTS (SELECT 1 FROM {table}{absent})) {branches}",
+                    tuple(params),
                 )
-            else:
-                ids.append(slot[1])
-        out.append((predicate, tuple(ids)))
-    return out
+            )
+        if predicate.arity:
+            target = ", ".join(f"a{i}" for i in range(predicate.arity))
+            values = ", ".join(columns)
+        else:
+            target, values = "present", "1"
+        return store._guarded(
+            lambda: store._select(
+                f"INSERT OR IGNORE INTO {table} ({target}, round) "
+                f"SELECT {values}, ? FROM {source}",
+                (round_number,),
+            )
+        ).rowcount
+
+
+def _create_scratch(store: SQLiteStore, prepared: "list[_StoreRule]") -> None:
+    """Create the temp sigma and Skolem-map tables the rules need.
+
+    Called once per run, before its first round: a rolled-back round
+    (which may drop them again) always ends the run.
+    """
+    for width in {rule.width for rule in prepared}:
+        columns = ", ".join(f"v{i} INTEGER" for i in range(width))
+        store._select(f"CREATE TABLE IF NOT EXISTS {_sigma_table(width)} ({columns})")
+    for rule in {_fmap_table(r): r for r in prepared if r.functors}.values():
+        keys = [f"k{k}" for k in range(len(rule.frontier))]
+        ids = [f"id{j}" for j in range(len(rule.functors))]
+        columns = ", ".join(f"{name} INTEGER" for name in keys + ids)
+        primary = f", PRIMARY KEY ({', '.join(keys)})" if keys else ""
+        store._select(
+            f"CREATE TABLE IF NOT EXISTS {_fmap_table(rule)} ({columns}{primary})"
+        )
 
 
 def _theory_text(theory: Theory) -> str:
@@ -251,120 +369,173 @@ def _maybe_kill(name: str, round_: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _filter_existing_supports(
-    store: SQLiteStore, supports: "list[tuple[str, str]]"
-) -> None:
-    """Drop support pairs whose child fact already exists in the store.
-
-    Mirrors the in-memory engine, which records a derivation only when
-    the produced atom is genuinely new: without this filter a base fact
-    re-derived by some rule would gain support edges, stop looking base,
-    and become deletable by the DRed cascade (and un-retractable by
-    :func:`update_store_chase`'s derived-fact check).  Must run *before*
-    the batch's rows are inserted — afterwards every child would read as
-    existing.
-    """
-    if not supports:
-        return
-    present = store.existing_fact_keys({child for child, _ in supports})
-    if present:
-        supports[:] = [pair for pair in supports if pair[0] not in present]
-
-
 def _execute_round(
     store: SQLiteStore,
     prepared: "list[_StoreRule]",
     round_number: int,
     control: "_RunControl | None",
-    plans_for,
-    fire_bodyless: bool,
+    full_pass: bool,
 ) -> "tuple[int, int, int]":
-    """One store round's trigger matching and batched inserts.
+    """One store round, evaluated set-at-a-time inside SQLite.
 
-    Returns ``(matches, produced_rows, inserted)``.  Produced facts land
-    at round tag ``round_number``; every *genuinely new* row also records
-    its (child, parent) support edges — flushed alongside the fact
-    batches, inside the same per-round transaction — which is the
-    provenance :func:`update_store_chase` walks for DRed over-deletion.
-    Rows whose fact already exists are filtered out of the support batch
-    first (:func:`_filter_existing_supports`), so base facts never
-    acquire edges and never enter the deletion cascade.
+    Returns ``(matches, produced_rows, inserted)``.  Each rule plan fills
+    the temp sigma table with one ``INSERT … SELECT``; when it is
+    non-empty, its Skolem terms are interned and each head atom records
+    its support edges and inserts its facts (tagged ``round_number``)
+    with one statement apiece — the sigma rows never enter Python.  The
+    supports are the provenance :func:`update_store_chase` walks for
+    DRed over-deletion; every statement rides the round's transaction.
 
-    ``plans_for`` maps a rule to its round-bound plans (the standard
-    semi-naive pivots for a chase round, one full-width pass for the
-    re-derive round after a retraction); ``fire_bodyless`` gates the
-    once-only bodyless rules.  Raises
+    ``full_pass`` replaces the semi-naive pivots by one full-width plan
+    per rule and fires the bodyless rules (round 1, and the re-derive
+    round after a retraction).  Raises
     :class:`~repro.chase.engine._RoundInterrupt` on deadline or
     cancellation, leaving the partial round uncommitted.
     """
     counters = store.stats.counters
-    batch_size = store.batch_size
-    stride = CONTROL_CHECK_STRIDE - 1
     matches = 0
     produced_rows = 0
     inserted = 0
-    supports: "list[tuple[str, str]]" = []
-    for rule in prepared:
+    connection = store.connection
+    if control is not None:
+        # Lets a deadline or cancellation stop a single long statement.
+        connection.set_progress_handler(
+            lambda: control.interruption() is not None, _PROGRESS_STEPS
+        )
+    try:
+        for rule in prepared:
+            if control is not None:
+                reason = control.interruption()
+                if reason is not None:
+                    raise _RoundInterrupt(reason)
+            if rule.body:
+                plans = rule.round_plans(round_number, full_pass)
+            elif full_pass:
+                # Bodyless rules (no universal variables, so the head is
+                # ground after skolemization) fire exactly once.
+                plans = [None]
+            else:
+                continue
+            for bounds in plans:
+                found = rule.fill_sigma(store, bounds)
+                if not found:
+                    continue
+                matches += found
+                if rule.functors:
+                    rule.intern_skolems(store)
+                for predicate, columns in rule.head_specs:
+                    produced_rows += found
+                    counters["store.writes"] += found
+                    inserted += rule.apply_head(store, predicate, columns, round_number)
+                _maybe_kill("storechase.kill_midround", round_number)
+    except sqlite3.OperationalError as error:
+        # Deadlines and cancellations stay fired, so polling again
+        # recovers the reason the progress handler stopped for.
+        reason = control.interruption() if control is not None else None
+        if reason is None or "interrupted" not in str(error):
+            raise
+        raise _RoundInterrupt(reason) from None
+    finally:
+        if control is not None:
+            connection.set_progress_handler(None, 0)
+    return matches, produced_rows, inserted
+
+
+def _run_rounds(
+    store: SQLiteStore,
+    prepared: "list[_StoreRule]",
+    rounds_run: int,
+    total: int,
+    budget: ChaseBudget,
+    cancel: "CancellationToken | None",
+    repair: bool = False,
+    delta: bool = False,
+) -> "tuple[int, bool, int]":
+    """Chase rounds after ``rounds_run`` until a fixpoint or a budget stop.
+
+    Round 1 — and with ``repair`` the first round of this call, which
+    then clears the ``storechase.repair`` marker — is one full-width
+    pass; later rounds use the semi-naive pivots.  ``delta`` also counts
+    each completed round under ``delta.rounds``.  Each round's facts and
+    the updated ``storechase.*`` state commit as one transaction; an
+    interrupted round is rolled back.  Returns ``(rounds_run,
+    terminated, total)``.
+    """
+    stats = store.stats
+    counters = stats.counters
+    control = _RunControl.start(budget, cancel)
+    interrupted: "str | None" = None
+    terminated = False
+    _create_scratch(store, prepared)
+    for _ in range(budget.max_rounds):
         if control is not None:
             reason = control.interruption()
             if reason is not None:
-                raise _RoundInterrupt(reason)
-        if not rule.body:
-            # Bodyless rules (no universal variables, so the head is
-            # ground after skolemization) fire exactly once.
-            if not fire_bodyless:
-                continue
-            matches += 1
-            for predicate, ids in _apply_rule(rule, (), store):
-                produced_rows += 1
-                inserted += store.insert_rows(predicate, [ids], round_number)
-            continue
-        for bounds in plans_for(rule):
-            compiled = build_select(
-                rule.body,
-                rule.var_order,
-                store,
-                round_bounds=bounds,
-                distinct=False,
+                interrupted = reason
+                break
+        round_number = rounds_run + 1
+        round_started = time.perf_counter()
+        terms_before = counters["store.terms_interned"]
+        try:
+            matches, produced_rows, inserted = _execute_round(
+                store, prepared, round_number, control, round_number == 1 or repair
             )
-            if compiled is None:
-                continue  # a body predicate has no fact table yet
-            pending: dict = {}
-            pending_rows = 0
-            for row in store._select(compiled.sql, compiled.params):
-                matches += 1
-                if control is not None and not (matches & stride):
-                    reason = control.interruption()
-                    if reason is not None:
-                        raise _RoundInterrupt(reason)
-                counters["store.rows_scanned"] += 1
-                parents = rule.parent_keys(row)
-                for predicate, ids in _apply_rule(rule, row, store):
-                    produced_rows += 1
-                    pending.setdefault(predicate, []).append(ids)
-                    pending_rows += 1
-                    if parents:
-                        child = fact_key(predicate, ids)
-                        supports.extend((child, parent) for parent in parents)
-                if pending_rows >= batch_size:
-                    _filter_existing_supports(store, supports)
-                    for predicate, rows in pending.items():
-                        inserted += store.insert_rows(
-                            predicate, rows, round_number
-                        )
-                    pending.clear()
-                    pending_rows = 0
-                    store.add_supports(supports)
-                    supports.clear()
-                    _maybe_kill("storechase.kill_midround", round_number)
-            _filter_existing_supports(store, supports)
-            for predicate, rows in pending.items():
-                inserted += store.insert_rows(predicate, rows, round_number)
-            store.add_supports(supports)
-            supports.clear()
-            if pending:
-                _maybe_kill("storechase.kill_midround", round_number)
-    return matches, produced_rows, inserted
+        except _RoundInterrupt as stop:
+            # Abandon the round wholesale: rows inserted so far are
+            # rolled back, so disk holds exactly the last complete
+            # round (Observation 8 makes the re-run exact).
+            store.rollback()
+            stats.record_round(
+                round=round_number,
+                aborted=True,
+                total_atoms=total,
+                seconds=round(time.perf_counter() - round_started, 6),
+            )
+            interrupted = stop.reason
+            break
+        total += inserted
+        dedup_hits = produced_rows - inserted
+        counters["chase.rounds"] += 1
+        counters["chase.matches"] += matches
+        counters["chase.atoms_produced"] += inserted
+        counters["chase.dedup_hits"] += dedup_hits
+        if delta:
+            counters["delta.rounds"] += 1
+        if inserted:
+            rounds_run = round_number
+        else:
+            terminated = True
+        stats.record_round(
+            round=round_number,
+            matches=matches,
+            atoms_produced=inserted,
+            dedup_hits=dedup_hits,
+            new_terms=counters["store.terms_interned"] - terms_before,
+            total_atoms=total,
+            seconds=round(time.perf_counter() - round_started, 6),
+        )
+        if repair:
+            # The closure is whole again from here on; a crash in a
+            # later round resumes like any suspended chase.
+            store.set_meta("storechase.repair", "0", commit=False)
+            repair = False
+        # The round's facts and the updated chase state commit as ONE
+        # transaction — the SIGKILL-atomicity the chaos suite pins.
+        _persist_state(store, rounds_run, terminated, stats, commit=False)
+        _maybe_kill("storechase.kill", round_number)
+        store.commit()
+        if terminated:
+            break
+        if total > budget.max_atoms:
+            if budget.on_exceeded == "raise":
+                raise ChaseBudgetExceeded(
+                    f"store chase exceeded {budget.max_atoms} atoms after "
+                    f"{rounds_run} rounds"
+                )
+            break
+    if interrupted is not None:
+        note_interruption(stats, interrupted, budget, rounds_run)
+    return rounds_run, terminated, total
 
 
 def chase_into_store(
@@ -466,76 +637,10 @@ def chase_into_store(
         store.commit()
         total = len(store)
 
-    control = _RunControl.start(budget, cancel)
-    interrupted: "str | None" = None
-
     with stats.timer("chase"):
-        for _ in range(budget.max_rounds):
-            if control is not None:
-                reason = control.interruption()
-                if reason is not None:
-                    interrupted = reason
-                    break
-            round_number = rounds_run + 1
-            round_started = time.perf_counter()
-            terms_before = counters["store.terms_interned"]
-            try:
-                matches, produced_rows, inserted = _execute_round(
-                    store,
-                    prepared,
-                    round_number,
-                    control,
-                    lambda rule: rule.round_plans(round_number),
-                    fire_bodyless=(round_number == 1),
-                )
-            except _RoundInterrupt as stop:
-                # Abandon the round wholesale: rows inserted so far are
-                # rolled back, so disk holds exactly the last complete
-                # round (Observation 8 makes the re-run exact).
-                store.rollback()
-                stats.record_round(
-                    round=round_number,
-                    aborted=True,
-                    total_atoms=total,
-                    seconds=round(time.perf_counter() - round_started, 6),
-                )
-                interrupted = stop.reason
-                break
-            total += inserted
-            dedup_hits = produced_rows - inserted
-            counters["chase.rounds"] += 1
-            counters["chase.matches"] += matches
-            counters["chase.atoms_produced"] += inserted
-            counters["chase.dedup_hits"] += dedup_hits
-            if inserted:
-                rounds_run = round_number
-            else:
-                terminated = True
-            stats.record_round(
-                round=round_number,
-                matches=matches,
-                atoms_produced=inserted,
-                dedup_hits=dedup_hits,
-                new_terms=counters["store.terms_interned"] - terms_before,
-                total_atoms=total,
-                seconds=round(time.perf_counter() - round_started, 6),
-            )
-            # The round's facts and the updated chase state commit as ONE
-            # transaction — the SIGKILL-atomicity the chaos suite pins.
-            _persist_state(store, rounds_run, terminated, stats, commit=False)
-            _maybe_kill("storechase.kill", round_number)
-            store.commit()
-            if terminated:
-                break
-            if total > budget.max_atoms:
-                if budget.on_exceeded == "raise":
-                    raise ChaseBudgetExceeded(
-                        f"store chase exceeded {budget.max_atoms} atoms after "
-                        f"{rounds_run} rounds"
-                    )
-                break
-        if interrupted is not None:
-            note_interruption(stats, interrupted, budget, rounds_run)
+        rounds_run, terminated, total = _run_rounds(
+            store, prepared, rounds_run, total, budget, cancel
+        )
 
     return StoreChaseResult(
         store=store,
@@ -573,6 +678,39 @@ def _encode_existing(store: SQLiteStore, item) -> "tuple[int, ...] | None":
             return None
         ids.append(term_id)
     return tuple(ids)
+
+
+def _count_present(store: SQLiteStore, keys: "set[str]") -> int:
+    """How many of the given fact keys name rows in the store.
+
+    One set query per predicate: the keys' ids go into a temp table that
+    is joined against the fact table.
+    """
+    by_predicate: "dict" = {}
+    for key in keys:
+        predicate, ids = parse_fact_key(key)
+        by_predicate.setdefault(predicate, []).append(ids)
+    present = 0
+    for predicate, rows in by_predicate.items():
+        table = store._tables.get(predicate)
+        if table is None:
+            continue
+        if not predicate.arity:
+            present += store._select(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            continue
+        scratch = f"temp.repro_keys_{predicate.arity}"
+        columns = ", ".join(f"a{i}" for i in range(predicate.arity))
+        store._select(f"CREATE TABLE IF NOT EXISTS {scratch} ({columns})")
+        store._select(f"DELETE FROM {scratch}")
+        marks = ", ".join("?" for _ in range(predicate.arity))
+        store.connection.executemany(f"INSERT INTO {scratch} VALUES ({marks})", rows)
+        on = " AND ".join(f"t.a{i} = d.a{i}" for i in range(predicate.arity))
+        present += store._select(
+            f"SELECT COUNT(*) FROM {scratch} AS d JOIN {table} AS t ON {on}"
+        ).fetchone()[0]
+    # Only temp rows changed; end the transaction they opened.
+    store.commit()
+    return present
 
 
 def update_store_chase(
@@ -722,111 +860,23 @@ def update_store_chase(
             return StoreChaseResult(store, rounds_run, True, total, stats)
 
         # ---- re-derive to a fresh fixpoint ---------------------------
-        control = _RunControl.start(budget, cancel)
-        interrupted: "str | None" = None
-        first_round = True
-        terminated = False
-        for _ in range(budget.max_rounds):
-            if control is not None:
-                reason = control.interruption()
-                if reason is not None:
-                    interrupted = reason
-                    break
-            round_number = rounds_run + 1
-            round_started = time.perf_counter()
-            terms_before = counters["store.terms_interned"]
-            full_pass = first_round and needs_repair
-            if full_pass:
-                # The retraction broke the closure: one full-width pass
-                # over the survivors (including facts the update just
-                # added), then standard semi-naive pivots take over.
-                last = round_number - 1
-                plans_for = (
-                    lambda rule: [[("le", last)] * len(rule.body)]
-                )
-            else:
-                plans_for = lambda rule: rule.round_plans(round_number)
-            try:
-                matches, produced_rows, inserted = _execute_round(
-                    store,
-                    prepared,
-                    round_number,
-                    control,
-                    plans_for,
-                    fire_bodyless=full_pass,
-                )
-            except _RoundInterrupt as stop:
-                store.rollback()
-                stats.record_round(
-                    round=round_number,
-                    aborted=True,
-                    total_atoms=total,
-                    seconds=round(time.perf_counter() - round_started, 6),
-                )
-                interrupted = stop.reason
-                break
-            first_round = False
-            total += inserted
-            dedup_hits = produced_rows - inserted
-            counters["chase.rounds"] += 1
-            counters["chase.matches"] += matches
-            counters["chase.atoms_produced"] += inserted
-            counters["chase.dedup_hits"] += dedup_hits
-            counters["delta.rounds"] += 1
-            if inserted:
-                rounds_run = round_number
-            else:
-                terminated = True
-            stats.record_round(
-                round=round_number,
-                matches=matches,
-                atoms_produced=inserted,
-                dedup_hits=dedup_hits,
-                new_terms=counters["store.terms_interned"] - terms_before,
-                total_atoms=total,
-                seconds=round(time.perf_counter() - round_started, 6),
-            )
-            if full_pass:
-                # The closure is whole again from here on; a crash in a
-                # later round resumes like any suspended chase.
-                store.set_meta("storechase.repair", "0", commit=False)
-            _persist_state(store, rounds_run, terminated, stats, commit=False)
-            _maybe_kill("storechase.kill", round_number)
-            store.commit()
-            if terminated:
-                break
-            if total > budget.max_atoms:
-                if budget.on_exceeded == "raise":
-                    raise ChaseBudgetExceeded(
-                        f"store chase exceeded {budget.max_atoms} atoms "
-                        f"after {rounds_run} rounds"
-                    )
-                break
-        if interrupted is not None:
-            note_interruption(stats, interrupted, budget, rounds_run)
+        # A retraction broke the closure: the first round is one
+        # full-width pass over the survivors (including facts the update
+        # just added), then standard semi-naive pivots take over.
+        rounds_run, terminated, total = _run_rounds(
+            store,
+            prepared,
+            rounds_run,
+            total,
+            budget,
+            cancel,
+            repair=needs_repair,
+            delta=True,
+        )
         if deleted and terminated:
             # How much of the over-deleted cone came back: cone members
             # with an alternative derivation untouched by the retraction.
-            rederived = 0
-            for key in deleted:
-                predicate, ids = parse_fact_key(key)
-                table = store._tables.get(predicate)
-                if table is None:
-                    continue
-                if predicate.arity == 0:
-                    hit = store._select(
-                        f"SELECT 1 FROM {table} LIMIT 1"
-                    ).fetchone()
-                else:
-                    where = " AND ".join(
-                        f"a{i} = ?" for i in range(predicate.arity)
-                    )
-                    hit = store._select(
-                        f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", ids
-                    ).fetchone()
-                if hit:
-                    rederived += 1
-            counters["delta.rederived"] += rederived
+            counters["delta.rederived"] += _count_present(store, deleted)
 
     return StoreChaseResult(
         store=store,

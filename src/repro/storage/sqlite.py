@@ -207,7 +207,11 @@ class SQLiteStore(TermInterningMixin):
         return self._conn
 
     def _select(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
-        """Run a SELECT with ``store.sql_queries`` accounting."""
+        """Run a statement with ``store.sql_queries`` accounting.
+
+        Mostly SELECTs; the store chase also runs its set-at-a-time
+        ``INSERT … SELECT`` round statements through here.
+        """
         self.stats.counters["store.sql_queries"] += 1
         return self.connection.execute(sql, params)
 
@@ -426,10 +430,10 @@ class SQLiteStore(TermInterningMixin):
     ) -> int:
         """Bulk-insert id-native fact rows; returns how many were new.
 
-        The store-backed chase's write path: rows are tuples of term ids
-        (no ``Atom`` objects), deduplicated by the primary key with one
-        ``executemany`` — re-proposed facts keep their original round
-        tag, matching Definition 6's first-appearance semantics.
+        Rows are tuples of term ids (no ``Atom`` objects), deduplicated
+        by the primary key with one ``executemany`` — re-proposed facts
+        keep their original round tag, matching Definition 6's
+        first-appearance semantics.
         """
         if not rows:
             return 0
@@ -609,19 +613,6 @@ class SQLiteStore(TermInterningMixin):
     # the fixed schema, NOT the predicate catalog: it never contributes
     # to ``__len__``, ``digest()`` or ``predicates()``.
 
-    def add_supports(self, pairs: "list[tuple[str, str]]") -> None:
-        """Record derivation edges (no commit — rides the round's txn)."""
-        if not pairs:
-            return
-        conn = self.connection
-        self._guarded(
-            lambda: conn.executemany(
-                "INSERT OR IGNORE INTO repro_supports (child, parent) "
-                "VALUES (?, ?)",
-                pairs,
-            )
-        )
-
     def support_children(self, parent_keys: "Iterable[str]") -> set[str]:
         """Distinct children whose recorded derivation used any parent."""
         children: set[str] = set()
@@ -662,38 +653,6 @@ class SQLiteStore(TermInterningMixin):
                 )
             )
         return conn.total_changes - before
-
-    def existing_fact_keys(self, keys: "Iterable[str]") -> set[str]:
-        """Which of the given fact keys name rows already in the store.
-
-        The support recorder's filter: a produced row whose fact already
-        exists must not gain a support edge, so base facts stay
-        support-free (mirroring the in-memory engine, which records a
-        derivation only when the produced atom is genuinely new).
-        """
-        self._flush_pending()
-        existing: set[str] = set()
-        by_predicate: "dict[Predicate, list[tuple[str, tuple[int, ...]]]]" = {}
-        for key in keys:
-            predicate, ids = parse_fact_key(key)
-            by_predicate.setdefault(predicate, []).append((key, ids))
-        for predicate, entries in by_predicate.items():
-            table = self._tables.get(predicate)
-            if table is None:
-                continue
-            if predicate.arity == 0:
-                row = self._select(f"SELECT 1 FROM {table} LIMIT 1").fetchone()
-                if row is not None:
-                    existing.update(key for key, _ in entries)
-                continue
-            where = " AND ".join(f"a{i} = ?" for i in range(predicate.arity))
-            for key, ids in entries:
-                row = self._select(
-                    f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", ids
-                ).fetchone()
-                if row is not None:
-                    existing.add(key)
-        return existing
 
     def support_count(self) -> int:
         row = self._select("SELECT COUNT(*) FROM repro_supports").fetchone()

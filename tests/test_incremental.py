@@ -3,6 +3,8 @@ store-backed counterpart ``update_store_chase``."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from repro.storage import (
     resume_store_chase,
     update_store_chase,
 )
+from repro.storage.sqlite import fact_key
 
 TC = parse_theory(
     "E(x, y), E(y, z) -> E(x, z)\n"
@@ -28,6 +31,7 @@ TC = parse_theory(
     "M(x, m) -> H(x)",
     name="tc-exists",
 )
+PLAIN_TC = parse_theory("E(x, y), E(y, z) -> E(x, z)", name="tc")
 BUDGET = ChaseBudget(max_rounds=40, max_atoms=200_000)
 
 
@@ -319,3 +323,55 @@ class TestStoreUpdates:
             assert counters["delta.retracted_base"] == 1
             assert counters["delta.overdeleted"] >= 1
             assert counters["delta.rounds"] >= 1
+
+
+class TestStoreSupportEdges:
+    """``repro_supports`` holds one derivation per genuinely new fact."""
+
+    @staticmethod
+    def _graph(nodes: int = 24, chords: int = 48) -> Instance:
+        rng = random.Random("supports")
+        names = [f"n{index}" for index in range(nodes)]
+        rng.shuffle(names)
+        pairs = {(names[i], names[(i + 1) % nodes]) for i in range(nodes)}
+        while len(pairs) < nodes + chords:
+            pairs.add((rng.choice(names), rng.choice(names)))
+        return Instance([Atom(E, (Constant(a), Constant(b))) for a, b in sorted(pairs)])
+
+    def test_support_edges_ignore_batch_size(self):
+        base = self._graph()
+        counts = []
+        for batch_size in (4, 4096):
+            with SQLiteStore(":memory:", batch_size=batch_size) as store:
+                chase_into_store(PLAIN_TC, base, store, budget=BUDGET)
+                produced = store.stats.counters["chase.atoms_produced"]
+                counts.append(store.support_count())
+                # TC: each new fact records its two body atoms.
+                assert store.support_count() == 2 * produced
+                retracted = sorted(base, key=repr)[0]
+                update_store_chase(store, PLAIN_TC, retract=[retracted], budget=BUDGET)
+                assert store.digest() == scratch_digest(
+                    PLAIN_TC, set(base) - {retracted}
+                )
+        assert counts[0] == counts[1]
+
+    def test_rederived_counts_cone_members_that_came_back(self):
+        # x -> w -> y gives E(x, y) a second derivation, so retracting
+        # the base edge E(x, y) over-deletes E(x, z) and both return.
+        base = parse_instance("E(x, y). E(y, z). E(x, w). E(w, y).")
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(PLAIN_TC, base, store, budget=BUDGET)
+            retracted = fact("E(x, y).")
+            cone = {fact_key(E, tuple(store.term_id(t) for t in retracted.args))}
+            frontier = set(cone)
+            while frontier:
+                frontier = store.support_children(frontier) - cone
+                cone |= frontier
+            update_store_chase(store, PLAIN_TC, retract=[retracted], budget=BUDGET)
+            present = {
+                fact_key(item.predicate, tuple(store.term_id(t) for t in item.args))
+                for item in store
+            }
+            counters = store.stats.counters
+            assert counters["delta.overdeleted"] == len(cone) - 1
+            assert counters["delta.rederived"] == len(cone & present) > 0

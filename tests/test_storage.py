@@ -9,10 +9,15 @@ checkpoint/resume exactness in ``test_storage_checkpoint.py``.
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
+import repro.chase.engine as engine_module
 from repro.chase import ChaseBudget, chase
-from repro.logic import parse_instance, parse_query, parse_theory
+from repro.logic import Instance, parse_instance, parse_query, parse_theory
+from repro.logic.atoms import atom
 from repro.logic.query import UnionOfCQs
 from repro.logic.containment import evaluate_ucq
 from repro.logic.homomorphism import evaluate
@@ -27,8 +32,32 @@ from repro.storage import (
     evaluate_ucq_sql,
     execute_compiled,
     open_store,
+    resume_store_chase,
 )
-from repro.workloads import edge_cycle, edge_path, example42_tc
+from repro.workloads import (
+    edge_cycle,
+    edge_path,
+    example42_tc,
+    university_database,
+    university_ontology,
+)
+
+DENSE_TC = parse_theory("E(x, y), E(y, z) -> E(x, z)", name="dense-tc")
+MATERIALIZE_BUDGET = ChaseBudget(max_rounds=200, max_atoms=2_000_000)
+
+
+def dense_tc_instance(seed: int) -> Instance:
+    """A seeded strongly connected graph: a random Hamiltonian cycle
+    through 40 constants plus 120 random extra edges, so its transitive
+    closure is all 1,600 pairs."""
+    rng = random.Random(f"tc-{seed}")
+    names = [f"n{index}" for index in range(40)]
+    rng.shuffle(names)
+    edges = {(names[i], names[(i + 1) % 40]) for i in range(40)}
+    while len(edges) < 160:
+        edges.add((rng.choice(names), rng.choice(names)))
+    return Instance([atom("E", source, target) for source, target in sorted(edges)])
+
 
 BACKENDS = [MemoryStore, ColumnarStore, lambda: SQLiteStore(":memory:")]
 BACKEND_IDS = ["memory", "columnar", "sqlite"]
@@ -316,3 +345,122 @@ class TestStoreChase:
             assert outcome.digest() == content_digest(reference.instance)
             for round_ in range(outcome.rounds_run + 1):
                 assert handle.atoms_in_round(round_) == reference.round_added[round_]
+
+
+class TestStoreChaseCounters:
+    """The set-at-a-time rounds reproduce the row-at-a-time counters."""
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            ("tc", (64_000, 1_440, 62_560, 40)),
+            ("university", (9_483, 8_858, 625, 4_350)),
+        ],
+    )
+    def test_counters_pinned(self, name, counts):
+        if name == "tc":
+            theory, base = DENSE_TC, dense_tc_instance(1)
+        else:
+            theory = university_ontology()
+            base = university_database(1000, 100, 50, seed=1)
+        reference = chase(theory, base, budget=MATERIALIZE_BUDGET, backend="memory")
+        with SQLiteStore(":memory:") as handle:
+            outcome = chase_into_store(theory, base, handle, budget=MATERIALIZE_BUDGET)
+            assert outcome.terminated
+            assert outcome.digest() == content_digest(reference.instance)
+            counters = handle.stats.counters
+            matches, produced, dedup, interned = counts
+            assert counters["chase.matches"] == matches
+            assert counters["chase.atoms_produced"] == produced
+            assert counters["chase.dedup_hits"] == dedup
+            assert counters["store.terms_interned"] == interned
+
+    def test_mixed_rule_shapes_match_in_memory_chase(self):
+        # Bodyless, nullary, constant-carrying, multi-head and
+        # two-existential rules all take the one set-at-a-time path.
+        theory = parse_theory(
+            "true -> exists z. Seed('c', z)\n"
+            "Seed(x, z) -> Flag()\n"
+            "Flag(), E(x, y) -> exists u, v. P(x, u), Q(u, v, 'k'), P(y, u)\n"
+            "P(x, u), Q(u, v, w) -> R(w, x)\n"
+            "R('k', x) -> Loop(x, x)\n"
+            "Loop(x, x), Flag() -> Done()",
+            name="mixed-shapes",
+        )
+        base = parse_instance("E(a, b). E(b, c). R(k, a). Loop(a, a).")
+        budget = ChaseBudget(max_rounds=50)
+        reference = chase(theory, base, budget=budget)
+        with SQLiteStore(":memory:") as handle:
+            outcome = chase_into_store(theory, base, handle, budget=budget)
+            assert outcome.terminated
+            assert outcome.digest() == content_digest(reference.instance)
+            produced = handle.stats.counters["chase.atoms_produced"]
+            assert produced == len(reference.instance) - len(base)
+            # One derivation per new fact: its body atoms, deduplicated
+            # (the bodyless rule's Seed fact has no parents).
+            children = {
+                row[0]
+                for row in handle.connection.execute(
+                    "SELECT child FROM repro_supports"
+                )
+            }
+            assert len(children) == produced - 1
+
+
+class _ShiftedClock:
+    """``time`` stand-in whose ``monotonic`` can be pushed forward."""
+
+    def __init__(self) -> None:
+        self.offset = 0.0
+
+    def monotonic(self) -> float:
+        return time.monotonic() + self.offset
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+class TestStoreChaseInterruption:
+    def test_deadline_stops_a_round_mid_statement(self, monkeypatch):
+        base = dense_tc_instance(1)
+        with SQLiteStore(":memory:") as reference:
+            chase_into_store(DENSE_TC, base, reference, budget=MATERIALIZE_BUDGET)
+            want_digest = reference.digest()
+            want = dict(reference.stats.counters)
+        clock = _ShiftedClock()
+        monkeypatch.setattr(engine_module, "time", clock)
+        original = SQLiteStore._select
+        sigma_fills = []
+
+        def select(self, sql, params=()):
+            if not sql.startswith("INSERT INTO temp.repro_sigma"):
+                return original(self, sql, params)
+            sigma_fills.append("started")
+            if len(sigma_fills) == 2:
+                # Round 2's first plan: the deadline passes while its
+                # single INSERT … SELECT is running.
+                clock.offset = 3600.0
+            cursor = original(self, sql, params)
+            sigma_fills[-1] = "finished"
+            return cursor
+
+        monkeypatch.setattr(SQLiteStore, "_select", select)
+        budget = ChaseBudget(max_rounds=200, max_atoms=2_000_000, deadline_s=60.0)
+        with SQLiteStore(":memory:") as handle:
+            cut = chase_into_store(DENSE_TC, base, handle, budget=budget)
+            assert sigma_fills == ["finished", "started"]
+            assert not cut.terminated and cut.rounds_run == 1
+            assert handle.stats.counters["chase.deadline_hit"] == 1
+            assert handle.get_meta("storechase.rounds") == "1"
+            assert handle.count_in_round(2) == 0
+            monkeypatch.undo()
+            resumed = resume_store_chase(handle, budget=MATERIALIZE_BUDGET)
+            assert resumed.terminated
+            assert resumed.digest() == want_digest
+            for name in (
+                "chase.rounds",
+                "chase.matches",
+                "chase.atoms_produced",
+                "chase.dedup_hits",
+            ):
+                assert handle.stats.counters[name] == want[name], name
