@@ -320,7 +320,7 @@ class ColumnarRoundExecutor:
         # The mirror store keeps its own private stats: its write/intern
         # traffic is an executor implementation detail, and folding it
         # into the chase telemetry would make otherwise identical runs
-        # (one-shot vs checkpoint-resumed) disagree on store.* counters.
+        # (one-shot vs suspended-and-resumed) disagree on store.* counters.
         self.store = ColumnarStore()
         self.compiled = tuple(
             _compile_rule(rule, self.store) for rule in prepared

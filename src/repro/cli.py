@@ -40,6 +40,7 @@ import argparse
 import dataclasses
 import json
 import signal
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -152,33 +153,13 @@ def _print_stats(stats: dict) -> None:
         print(f"# round {cells}")
 
 
-def _guard_checkpoint_target(store, theory) -> None:
-    """Refuse to checkpoint into a database holding unrelated state.
-
-    Mirrors :func:`~repro.storage.chasestore.chase_into_store`'s own
-    guards for the in-memory fallback path: a db holding store-chase
-    state, a checkpoint of a different theory, or facts with no
-    checkpoint at all must not be silently merged into.
-    """
-    from .logic.serialize import dump_theory
-    from .storage import StoreChaseError
-
-    if store.get_meta("storechase.schema") is not None:
-        raise StoreChaseError(
-            "db holds store-chase state; refusing to overlay an in-memory "
-            "checkpoint (use a fresh --db, or --resume to continue it)"
-        )
-    persisted = store.get_meta("checkpoint.theory")
-    if persisted is None:
-        if len(store):
-            raise StoreChaseError(
-                "db holds facts but no checkpoint state; refusing to mix "
-                "(use a fresh --db)"
-            )
-    elif persisted != dump_theory(theory):
-        raise StoreChaseError(
-            "db holds a checkpoint of a different theory; refusing to mix"
-        )
+def _unreadable_db(path: str, error: Exception) -> int:
+    """Report a ``--db`` file SQLite cannot read (exit 2), naming the path."""
+    print(
+        f"error: --db {path!r} is not a readable SQLite database: {error}",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _cmd_chase_sqlite(
@@ -186,68 +167,38 @@ def _cmd_chase_sqlite(
 ) -> int:
     """``chase --backend sqlite``: materialize into (or resume from) a db.
 
-    Theories the store chase supports run entirely inside SQLite; rules
-    with universal head variables run in the in-memory engine with the
-    result persisted as a checkpoint.  The split is decided upfront from
-    the theory's syntax, so a store-state refusal (mismatched theory,
-    already-populated database) is always reported, never silently
-    papered over by the fallback.
+    Every theory runs entirely inside SQLite through
+    :func:`~repro.storage.chase_into_store`; ``--resume`` continues the
+    persisted run with :func:`~repro.storage.resume_store_chase`.
     """
     from .storage import (
-        CheckpointError,
+        SQLiteStore,
         StoreChaseError,
         chase_into_store,
-        open_checkpoint_store,
-        resume_from_checkpoint,
         resume_store_chase,
-        save_checkpoint,
     )
 
-    needs_memory_fallback = any(
-        rule.universal_head_variables() for rule in theory
-    )
     try:
-        store_handle = open_checkpoint_store(args.db if args.db else ":memory:")
-    except CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        store_handle = SQLiteStore(args.db if args.db else ":memory:")
+    except sqlite3.DatabaseError as error:
+        return _unreadable_db(args.db, error)
     with store_handle as store:
         try:
             if args.resume:
-                if store.get_meta("storechase.schema") is not None:
-                    result = resume_store_chase(
-                        store, theory=theory, budget=budget, cancel=cancel
-                    )
-                    atom_count = result.atom_count
-                    rounds_run, terminated = result.rounds_run, result.terminated
-                    stats = result.stats.as_dict()
-                else:
-                    extended = resume_from_checkpoint(
-                        store, extra_rounds=args.rounds, budget=budget, theory=theory
-                    )
-                    atom_count = len(extended.instance)
-                    rounds_run, terminated = extended.rounds_run, extended.terminated
-                    stats = extended.stats.as_dict()
-            elif needs_memory_fallback:
-                instance = parse_instance(_read(args.instance, args.inline))
-                _guard_checkpoint_target(store, theory)
-                mem_result = chase(theory, instance, budget=budget, cancel=cancel)
-                save_checkpoint(mem_result, store)
-                atom_count = len(mem_result.instance)
-                rounds_run = mem_result.rounds_run
-                terminated = mem_result.terminated
-                stats = mem_result.stats.as_dict()
+                result = resume_store_chase(
+                    store, theory=theory, budget=budget, cancel=cancel
+                )
             else:
                 instance = parse_instance(_read(args.instance, args.inline))
                 result = chase_into_store(
                     theory, instance, store, budget=budget, cancel=cancel
                 )
-                atom_count = result.atom_count
-                rounds_run, terminated = result.rounds_run, result.terminated
-                stats = result.stats.as_dict()
-        except (StoreChaseError, CheckpointError) as error:
+        except StoreChaseError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
+        atom_count = result.atom_count
+        rounds_run, terminated = result.rounds_run, result.terminated
+        stats = result.stats.as_dict()
         digest = store.digest()
         atoms = sorted(repr(item) for item in store)
     if args.json:
@@ -381,8 +332,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
             return 2
         from .storage import SQLiteStore, StoreChaseError, update_store_chase
 
+        try:
+            store_handle = SQLiteStore(args.db)
+        except sqlite3.DatabaseError as error:
+            return _unreadable_db(args.db, error)
         with _SigintCancel() as token:
-            with SQLiteStore(args.db) as store:
+            with store_handle as store:
                 try:
                     result = update_store_chase(
                         store,
@@ -525,8 +480,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _cmd_answer(args: argparse.Namespace) -> int:
-    import sqlite3
-
     try:
         resolved = resolve_backend(args.backend, args.db)
     except ValueError as exc:
@@ -569,12 +522,7 @@ def _cmd_answer(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
         except sqlite3.DatabaseError as error:
-            print(
-                f"error: --db {args.db!r} is not a readable SQLite "
-                f"database: {error}",
-                file=sys.stderr,
-            )
-            return 2
+            return _unreadable_db(args.db, error)
     stats = session.stats.as_dict()
     if args.backend == "sqlite":
         session.close()

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the chaos test-suite.
 
 The fault-tolerance layer (deadlines, cancellation, lock retry, durable
-store-chase rounds, atomic checkpoints — see ``docs/robustness.md``) is
+store-chase rounds — see ``docs/robustness.md``) is
 only trustworthy if its failure paths are *executed*, not just written.
 This registry lets tests arm named faults at precise points of a run:
 
@@ -23,9 +23,6 @@ sites:
     the worst point of the commit window;
 ``storechase.kill_midround``
     SIGKILL while the round's rows are still being inserted (uncommitted);
-``checkpoint.crash``
-    :func:`repro.storage.save_checkpoint_atomic` exits after writing the
-    temp file but before ``os.replace`` — the target must stay intact;
 ``sqlite.locked``
     the store's next guarded statement raises a synthetic ``database is
     locked``, exercising the bounded jittered-backoff retry.

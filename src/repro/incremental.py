@@ -102,10 +102,12 @@ class UpdateOutcome:
         return bool(self.added or self.retracted)
 
 
-def _check_retraction_supported(result: ChaseResult) -> None:
-    offenders = [
-        rule for rule in result.theory if rule.universal_head_variables()
-    ]
+def _check_retraction_supported(theory) -> None:
+    """Refuse retraction for theories with universal head variables.
+
+    Shared with :func:`repro.storage.chasestore.update_store_chase`.
+    """
+    offenders = [rule for rule in theory if rule.universal_head_variables()]
     if offenders:
         raise ValueError(
             "retract is not supported for theories with universal head "
@@ -158,7 +160,7 @@ def incremental_update(
             f"instead): {sorted(map(str, derived_retracts))}"
         )
     if retract and any(item in result.base for item in retract):
-        _check_retraction_supported(result)
+        _check_retraction_supported(result.theory)
 
     budget = budget if budget is not None else ChaseBudget()
     backend_name = _resolve_chase_backend(backend)

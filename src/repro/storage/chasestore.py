@@ -39,10 +39,12 @@ only in a :class:`~repro.storage.sqlite.SQLiteStore`:
   long statement; an interrupted round is rolled back, never
   half-applied.
 
-Not supported here: rules with *universal head variables* (the ``T_d``
-style ``true -> exists z. R(x, z)`` rules, whose head ranges over the
-active domain).  Those raise :class:`StoreChaseError`; the in-memory
-engine plus :mod:`repro.storage.checkpoint` covers them.
+Rules with *universal head variables* (the ``T_d`` style ``true ->
+exists z. R(x, z)`` rules, whose head ranges over the active domain)
+join the ``repro_domain`` relation, one alias per universal variable.
+When some rule needs it, each round first adds the term ids of the
+previous round's facts to it, tagged with the round they first
+appeared in, so a domain alias takes round bounds like a body atom.
 """
 
 from __future__ import annotations
@@ -64,18 +66,19 @@ from ..chase.engine import (
     note_interruption,
 )
 from ..chase.skolem import skolemize
+from ..incremental import _check_retraction_supported
 from ..logic.instance import Instance
 from ..logic.terms import Constant, FunctionTerm, Variable
 from ..logic.tgd import Theory
 from ..telemetry import Telemetry
-from .sqlcompile import build_select
+from .sqlcompile import DOMAIN_TABLE, DomainAtom, build_select
 from .sqlite import SQLiteStore, fact_key, parse_fact_key
 
 STORE_CHASE_SCHEMA = "repro-storechase/1"
 
 
 class StoreChaseError(RuntimeError):
-    """The store chase cannot run: unsupported rule or inconsistent state."""
+    """The store chase cannot run: inconsistent or foreign store state."""
 
 
 @dataclass
@@ -135,30 +138,31 @@ def _key_sql(predicate, pieces: "list[str]") -> "tuple[str, str]":
 class _StoreRule:
     """A rule compiled for set-at-a-time application against a store.
 
-    A sigma row holds the body variables in ``var_order`` (at least one
-    column: a variable-free body yields the constant ``1``).  Each head
-    atom keeps one SQL expression per argument: a sigma column ``s.v<i>``,
-    a Skolem-map column ``f.id<j>`` (the j-th of ``functors``, applied to
-    the ``frontier`` columns) or a constant's term id.
+    A sigma row holds the body variables, then the ``universal`` head
+    variables (each ranging over the domain relation), in ``var_order``
+    (at least one column: a variable-free body yields the constant
+    ``1``).  Each head atom keeps one SQL expression per argument: a
+    sigma column ``s.v<i>``, a Skolem-map column ``f.id<j>`` (the j-th of
+    ``functors``, applied to the ``frontier`` columns) or a constant's
+    term id.
     """
 
     def __init__(self, rule, store: SQLiteStore) -> None:
-        if rule.universal_head_variables():
-            raise StoreChaseError(
-                f"rule {rule.label or rule!r} has universal head variables; "
-                "the store-backed chase does not enumerate the active domain "
-                "(use the in-memory engine with repro.storage.checkpoint)"
-            )
         skolemized = skolemize(rule)
         self.body = tuple(rule.body)
+        self.universal = tuple(
+            sorted(rule.universal_head_variables(), key=lambda var: var.name)
+        )
         var_order: list[Variable] = []
         for item in self.body:
             for term in item.args:
                 if isinstance(term, Variable) and term not in var_order:
                     var_order.append(term)
-        self.var_order = tuple(var_order)
-        self.width = max(1, len(var_order))
-        index_of = {var: i for i, var in enumerate(var_order)}
+        self.var_order = tuple(var_order) + self.universal
+        # The SQL body: the rule body plus one ``dom(u)`` per universal u.
+        self.sql_body = self.body + tuple(DomainAtom(var) for var in self.universal)
+        self.width = max(1, len(self.var_order))
+        index_of = {var: i for i, var in enumerate(self.var_order)}
         # Every Skolem term of a rule ranges over the same frontier.
         self.frontier = tuple(index_of[var] for var in skolemized.frontier_order)
         self.functors: "list[str]" = []
@@ -180,6 +184,7 @@ class _StoreRule:
         # The body image of a sigma row as fact-key SQL, one per body
         # atom: the parents of the (child, parent) support edges that
         # ``update_store_chase`` walks to over-delete a retraction's cone.
+        # Domain aliases are no facts, so they record no edge.
         self.parent_key_sql = [
             _key_sql(
                 item.predicate,
@@ -197,33 +202,42 @@ class _StoreRule:
         """The per-alias round bounds to evaluate this round's matches.
 
         A full pass is one plan over every fact of earlier rounds (round
-        1 reads the base, everything at round 0); other rounds get one
-        semi-naive plan per pivot position.
+        1 reads the base, everything at round 0).  Other rounds get one
+        semi-naive plan per body pivot, its domain aliases over the whole
+        domain, then one per domain pivot over the whole body: the
+        engine's split between body-delta matches and matches that grab
+        a term new to the domain.
         """
         last = round_number - 1
-        width = len(self.body)
+        width, count = len(self.body), len(self.universal)
         if full_pass:
-            return [[("le", last)] * width]
-        return [
-            [("lt", last)] * pivot
-            + [("eq", last)]
-            + [("le", last)] * (width - pivot - 1)
-            for pivot in range(width)
+            return [[("le", last)] * (width + count)]
+
+        def pivots(size: int) -> "list[list]":
+            return [
+                [("lt", last)] * pivot
+                + [("eq", last)]
+                + [("le", last)] * (size - pivot - 1)
+                for pivot in range(size)
+            ]
+
+        return [plan + [("le", last)] * count for plan in pivots(width)] + [
+            [("le", last)] * width + plan for plan in pivots(count)
         ]
 
     def fill_sigma(self, store: SQLiteStore, bounds) -> int:
         """Replace the sigma table with one plan's triggers; returns their count.
 
-        ``bounds`` is ``None`` for a bodyless rule, whose one trigger is
-        the empty substitution.
+        ``bounds`` is ``None`` for a rule with neither body nor universal
+        variables, whose one trigger is the empty substitution.
         """
         sigma = _sigma_table(self.width)
         store._select(f"DELETE FROM {sigma}")
-        if not self.body:
+        if bounds is None:
             sql, params = "SELECT 1", ()
         else:
             compiled = build_select(
-                self.body, self.var_order, store, round_bounds=bounds, distinct=False
+                self.sql_body, self.var_order, store, round_bounds=bounds, distinct=False
             )
             if compiled is None:
                 return 0  # a body predicate has no fact table yet
@@ -315,11 +329,21 @@ class _StoreRule:
 
 
 def _create_scratch(store: SQLiteStore, prepared: "list[_StoreRule]") -> None:
-    """Create the temp sigma and Skolem-map tables the rules need.
+    """Create the tables the rules need: temp sigma and Skolem-map
+    tables, and the persistent domain relation for universal variables.
 
     Called once per run, before its first round: a rolled-back round
     (which may drop them again) always ends the run.
     """
+    if any(rule.universal for rule in prepared):
+        store._select(
+            f"CREATE TABLE IF NOT EXISTS {DOMAIN_TABLE} "
+            "(id INTEGER PRIMARY KEY, round INTEGER NOT NULL)"
+        )
+        store._select(
+            f"CREATE INDEX IF NOT EXISTS ix_{DOMAIN_TABLE}_round "
+            f"ON {DOMAIN_TABLE} (round)"
+        )
     for width in {rule.width for rule in prepared}:
         columns = ", ".join(f"v{i} INTEGER" for i in range(width))
         store._select(f"CREATE TABLE IF NOT EXISTS {_sigma_table(width)} ({columns})")
@@ -369,6 +393,21 @@ def _maybe_kill(name: str, round_: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _extend_domain(store: SQLiteStore, round_: int) -> None:
+    """Add the term ids of the facts tagged ``round_`` to the domain.
+
+    ``INSERT OR IGNORE`` keeps a term's first round, so the relation's
+    ``round`` column is the round the term entered the active domain.
+    """
+    for predicate, table in store._tables.items():
+        for position in range(predicate.arity):
+            store._select(
+                f"INSERT OR IGNORE INTO {DOMAIN_TABLE} (id, round) "
+                f"SELECT a{position}, round FROM {table} WHERE round = ?",
+                (round_,),
+            )
+
+
 def _execute_round(
     store: SQLiteStore,
     prepared: "list[_StoreRule]",
@@ -378,7 +417,9 @@ def _execute_round(
 ) -> "tuple[int, int, int]":
     """One store round, evaluated set-at-a-time inside SQLite.
 
-    Returns ``(matches, produced_rows, inserted)``.  Each rule plan fills
+    Returns ``(matches, produced_rows, inserted)``.  When a rule has
+    universal variables, the previous round's terms first join the
+    domain relation.  Each rule plan fills
     the temp sigma table with one ``INSERT … SELECT``; when it is
     non-empty, its Skolem terms are interned and each head atom records
     its support edges and inserts its facts (tagged ``round_number``)
@@ -387,8 +428,9 @@ def _execute_round(
     DRed over-deletion; every statement rides the round's transaction.
 
     ``full_pass`` replaces the semi-naive pivots by one full-width plan
-    per rule and fires the bodyless rules (round 1, and the re-derive
-    round after a retraction).  Raises
+    per rule and fires the rules with neither body nor universal
+    variables (round 1, and the re-derive round after a retraction).
+    Raises
     :class:`~repro.chase.engine._RoundInterrupt` on deadline or
     cancellation, leaving the partial round uncommitted.
     """
@@ -403,16 +445,18 @@ def _execute_round(
             lambda: control.interruption() is not None, _PROGRESS_STEPS
         )
     try:
+        if any(rule.universal for rule in prepared):
+            _extend_domain(store, round_number - 1)
         for rule in prepared:
             if control is not None:
                 reason = control.interruption()
                 if reason is not None:
                     raise _RoundInterrupt(reason)
-            if rule.body:
+            if rule.sql_body:
                 plans = rule.round_plans(round_number, full_pass)
             elif full_pass:
-                # Bodyless rules (no universal variables, so the head is
-                # ground after skolemization) fire exactly once.
+                # Rules with no SQL body at all (the head is ground after
+                # skolemization) fire exactly once.
                 plans = [None]
             else:
                 continue
@@ -555,23 +599,16 @@ def chase_into_store(
     written after every round, so even a killed process resumes
     round-exactly.
 
-    Raises :class:`StoreChaseError` for rules with universal head
-    variables, mismatched resume state, or a non-empty store with no
-    chase state.  Budget overruns — including ``budget.deadline_s`` and
-    a fired ``cancel`` token — follow ``budget.on_exceeded``; either
-    way the store holds the last *complete* round and can be resumed.
+    Raises :class:`StoreChaseError` for mismatched resume state or a
+    non-empty store with no chase state.  Budget overruns — including
+    ``budget.deadline_s`` and a fired ``cancel`` token — follow
+    ``budget.on_exceeded``; either way the store holds the last
+    *complete* round and can be resumed.
     """
     budget = budget if budget is not None else ChaseBudget()
     stats = store.stats
     counters = stats.counters
     theory_text = _theory_text(theory)
-
-    # Compile the rules before touching any persistent state: an
-    # unsupported theory (universal head variables) must fail with the
-    # store unchanged — no base facts loaded, no ``storechase.*`` meta
-    # written — so callers can fall back to the in-memory engine against
-    # the same database without leaving mixed state behind.
-    prepared = [_StoreRule(rule, store) for rule in theory]
 
     schema = store.get_meta("storechase.schema")
     if schema is not None:
@@ -637,6 +674,7 @@ def chase_into_store(
         store.commit()
         total = len(store)
 
+    prepared = [_StoreRule(rule, store) for rule in theory]
     with stats.timer("chase"):
         rounds_run, terminated, total = _run_rounds(
             store, prepared, rounds_run, total, budget, cancel
@@ -731,10 +769,12 @@ def update_store_chase(
       support edges — round-0 facts, update-added facts, promoted facts
       — are never cascaded into), then re-derive survivors with one
       full-width round before returning to standard semi-naive pivots;
-    * **additions** insert the new facts at a fresh round tag and run
-      plain semi-naive rounds from there — by Observation 8 and Skolem
-      determinism this derives exactly the missing consequences.  An
-      added fact the chase had already derived is *promoted* to base
+    * **additions** insert the new facts at a fresh round tag (the
+      epoch) and run plain semi-naive rounds from there — by
+      Observation 8 and Skolem determinism this derives exactly the
+      missing consequences, including those of rules with universal
+      head variables over the terms that enter the domain at the epoch.
+      An added fact the chase had already derived is *promoted* to base
       (its support edges are dropped so retractions elsewhere can no
       longer cascade through it).
 
@@ -747,9 +787,13 @@ def update_store_chase(
     store and re-chasing the updated base from scratch.
 
     Raises :class:`StoreChaseError` for missing/unterminated/foreign
-    chase state, pre-supports databases on retraction, and theories with
-    universal head variables; ``ValueError`` for retracting a derived
-    fact or adding and retracting the same fact.
+    chase state and pre-supports databases on retraction; ``ValueError``
+    for retracting a derived fact, adding and retracting the same fact,
+    and retracting from a theory with universal head variables — as in
+    :func:`repro.incremental.incremental_update`: DRed cannot shrink the
+    domain relation, and a fact derived through a domain alias has no
+    support edge to the fact that brought its term in.  Every refusal
+    comes before the first write.
     """
     budget = budget if budget is not None else ChaseBudget()
     stats = store.stats
@@ -807,6 +851,8 @@ def update_store_chase(
                     "ancestors instead)"
                 )
             removed_keys.append(key)
+        if removed_keys:
+            _check_retraction_supported(theory)
         to_insert = [item for item in add if item not in store]
         promoted_keys = []
         for item in add:

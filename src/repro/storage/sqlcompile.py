@@ -22,7 +22,9 @@ The same builder also serves the store-backed chase
 (:mod:`repro.storage.chasestore`): a rule body is compiled with its
 variables as the projection and per-alias *round bounds* implementing
 semi-naive evaluation (pivot pinned to the delta round, earlier atoms to
-strictly older rounds).
+strictly older rounds).  A rule's universal head variables become
+:class:`DomainAtom` conjuncts over the chase's active-domain relation
+(:data:`DOMAIN_TABLE`), one alias each.
 
 Every execution is accounted in the store's telemetry:
 ``store.sql_queries`` statements run, ``store.rows_scanned`` result rows
@@ -43,6 +45,18 @@ from .sqlite import SQLiteStore
 # ("eq", r) pins the alias to round r, ("lt", r) to rounds < r.
 RoundBound = "tuple[str, int] | None"
 
+# The store chase's active domain: one row per term id occurring in a
+# fact, tagged with the round whose facts first used it.  Not a
+# predicate table, so no fact iteration, count or digest ever sees it.
+DOMAIN_TABLE = "repro_domain"
+
+
+@dataclass(frozen=True)
+class DomainAtom:
+    """``dom(var)``: a conjunct binding ``var`` to a :data:`DOMAIN_TABLE` id."""
+
+    var: Variable
+
 
 @dataclass(frozen=True)
 class CompiledSelect:
@@ -54,7 +68,7 @@ class CompiledSelect:
 
 
 def build_select(
-    atoms: Sequence[Atom],
+    atoms: "Sequence[Atom | DomainAtom]",
     select_vars: Sequence[Variable],
     store: SQLiteStore,
     round_bounds: "Sequence[RoundBound] | None" = None,
@@ -76,13 +90,16 @@ def build_select(
     params: list[int] = []
     first_seen: dict[Variable, str] = {}
     for index, item in enumerate(atoms):
-        table = store.table_for(item.predicate)
-        if table is None:
-            return None
         alias = f"t{index}"
+        if isinstance(item, DomainAtom):
+            table, slots = DOMAIN_TABLE, [(f"{alias}.id", item.var)]
+        else:
+            table = store.table_for(item.predicate)
+            if table is None:
+                return None
+            slots = [(f"{alias}.a{i}", term) for i, term in enumerate(item.args)]
         froms.append(f"{table} AS {alias}")
-        for position, term in enumerate(item.args):
-            column = f"{alias}.a{position}"
+        for column, term in slots:
             if isinstance(term, Variable):
                 bound = first_seen.get(term)
                 if bound is None:

@@ -19,11 +19,11 @@ This is the durable data plane behind ``backend="sqlite"``.  Schema:
     plus one index per non-leading position — the SQL analogue of the
     ``(predicate, position, term)`` index that makes the in-memory
     homomorphism search usable.  ``round`` tags the chase round that
-    first produced the fact (0 = base), powering checkpoint/resume.
+    first produced the fact (0 = base), powering store-chase resume.
 
 ``repro_predicates`` / ``repro_meta``
     the catalog mapping predicates to table names, and a key/value side
-    table for checkpoint state.
+    table for the store chase's persisted state.
 
 Writes are **batched**: ``add``/``add_many`` append to a buffer that is
 flushed with one ``executemany`` per predicate inside a single
@@ -722,7 +722,7 @@ class SQLiteStore(TermInterningMixin):
         self.commit()
 
     # ------------------------------------------------------------------
-    # Metadata (checkpoints)
+    # Metadata (persisted chase state)
     # ------------------------------------------------------------------
     def get_meta(self, key: str, default: "str | None" = None) -> "str | None":
         row = self._select(

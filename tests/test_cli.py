@@ -83,34 +83,23 @@ class TestChaseSqliteBackend:
         reference = json.loads(capsys.readouterr().out)
         assert resumed["digest"] == reference["digest"]
 
-    def test_chase_sqlite_falls_back_for_universal_heads(self, tmp_path, capsys):
-        # T_d-style rules can't run inside the store; the CLI chases in
-        # RAM and checkpoints the result instead of failing.
-        db = str(tmp_path / "fallback.db")
-        code = main(
-            [
-                "chase", "-e", "P(x) -> Q(x, y)", "P(a)",
-                "--rounds", "2", "--backend", "sqlite", "--db", db, "--json",
-            ]
-        )
-        assert code == 0
+    def test_chase_sqlite_runs_universal_heads_in_the_store(self, tmp_path, capsys):
+        # T_d-style rules run inside SQLite like any other: the db holds
+        # store-chase state and the same atoms as the memory backend.
+        args = ["chase", "-e", "P(x) -> Q(x, y)", "P(a). R(b)", "--rounds", "2", "--json"]
+        assert main(args + ["--backend", "memory"]) == 0
+        memory = json.loads(capsys.readouterr().out)
+        db = str(tmp_path / "universal.db")
+        assert main(args + ["--backend", "sqlite", "--db", db]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["backend"] == "sqlite"
-        assert any("Q(a," in atom for atom in document["atoms"])
-        # The fallback writes checkpoint state only — never storechase.*
-        # meta — so a later --resume continues the checkpoint cleanly.
+        assert document["atoms"] == memory["atoms"]
+        assert document["terminated"]
         from repro.storage import SQLiteStore
 
         with SQLiteStore(db) as store:
-            assert store.get_meta("storechase.schema") is None
-            assert store.get_meta("checkpoint.schema") is not None
-        code = main(
-            [
-                "chase", "-e", "P(x) -> Q(x, y)", "--resume",
-                "--rounds", "2", "--backend", "sqlite", "--db", db, "--json",
-            ]
-        )
-        assert code == 0
+            assert store.get_meta("storechase.schema") is not None
+            assert store.get_meta("checkpoint.schema") is None
 
     def test_chase_sqlite_refuses_mixed_theories(self, tmp_path, capsys):
         # Re-running against an existing db with an unrelated theory must
@@ -137,10 +126,10 @@ class TestChaseSqliteBackend:
         with SQLiteStore(db) as store:
             assert store.digest() == before
 
-    def test_chase_sqlite_fallback_refuses_dirty_db(self, tmp_path, capsys):
-        # The universal-head fallback must not overlay a checkpoint onto
-        # a db already holding a store chase (or a different theory's
-        # checkpoint).
+    def test_chase_sqlite_universal_theory_refuses_dirty_db(self, tmp_path, capsys):
+        # A universal theory meets chase_into_store's own guards: no
+        # overlay onto another theory's store chase, nor onto facts
+        # that carry no store-chase state.
         db = str(tmp_path / "dirty.db")
         assert main(
             [
@@ -149,19 +138,69 @@ class TestChaseSqliteBackend:
             ]
         ) == 0
         capsys.readouterr()
+        universal = [
+            "chase", "-e", "P(x) -> Q(x, y)", "P(a)",
+            "--rounds", "1", "--backend", "sqlite", "--json", "--db",
+        ]
+        assert main(universal + [db]) == 2
+        assert "refusing to mix" in capsys.readouterr().err
+        from repro.logic import parse_instance
+        from repro.storage import SQLiteStore
+
+        bare = str(tmp_path / "bare.db")
+        with SQLiteStore(bare) as store:
+            store.add_many(parse_instance("P(b)"))
+        assert main(universal + [bare]) == 2
+        assert "no store-chase state" in capsys.readouterr().err
+        with SQLiteStore(bare) as store:
+            assert len(store) == 1
+            assert store.get_meta("storechase.schema") is None
+
+    def test_resume_of_a_database_without_store_chase_state(self, tmp_path, capsys):
+        # A database holding only the retired in-memory checkpoint
+        # format (checkpoint.* meta and round-tagged facts) cannot be
+        # resumed: exit 2 naming the missing state, database unchanged.
+        from repro.logic import parse_instance
+        from repro.storage import SQLiteStore
+
+        db = str(tmp_path / "old.db")
+        with SQLiteStore(db) as store:
+            store.add_many(parse_instance("P(a)"))
+            store.set_meta("checkpoint.schema", "repro-checkpoint/1")
+            store.set_meta("checkpoint.rounds", "0")
         code = main(
             [
-                "chase", "-e", "P(x) -> Q(x, y)", "P(a)",
-                "--rounds", "1", "--backend", "sqlite", "--db", db, "--json",
+                "chase", "-e", "P(x) -> Q(x, y)", "--resume",
+                "--rounds", "2", "--backend", "sqlite", "--db", db,
             ]
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "store-chase state" in captured.err
+        assert "holds no store-chase state" in captured.err
+        assert db in captured.err
+        with SQLiteStore(db) as store:
+            assert len(store) == 1
+            assert store.get_meta("storechase.schema") is None
+
+    @pytest.mark.parametrize("command", ["chase", "update", "answer"])
+    def test_corrupt_db_exits_2_naming_the_path(self, tmp_path, capsys, command):
+        garbage = tmp_path / "garbage.db"
+        garbage.write_bytes(b"not a sqlite file" * 64)
+        theory = "E(x, y) -> R(x, y)"
+        argv = {
+            "chase": ["chase", "-e", theory, "E(a, b)"],
+            "update": ["update", "-e", theory, "--add", "E(b, c)"],
+            "answer": ["answer", "-e", theory, "E(a, b)", "q(x) := R(x, y)"],
+        }[command]
+        code = main(argv + ["--backend", "sqlite", "--db", str(garbage)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(garbage) in captured.err
+        assert "not a readable SQLite database" in captured.err
 
     def test_chase_sqlite_resume_requires_db(self, capsys):
         # A fresh :memory: store can never hold resumable state; fail
-        # with a diagnostic instead of an uncaught CheckpointError.
+        # with a diagnostic before opening anything.
         code = main(
             ["chase", "-e", self.TC, "--resume", "--backend", "sqlite"]
         )

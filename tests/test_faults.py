@@ -35,18 +35,10 @@ from repro.chase import (
 )
 from repro.logic import parse_instance, parse_query, parse_theory
 from repro.rewriting.answering import answer_by_materialization
-from repro.storage import (
-    CheckpointError,
-    SQLiteStore,
-    chase_into_store,
-    load_checkpoint,
-    open_checkpoint_store,
-    resume_store_chase,
-    save_checkpoint_atomic,
-)
+from repro.storage import SQLiteStore, chase_into_store, resume_store_chase
 from repro.storage.base import content_digest
 from repro.telemetry import Telemetry
-from repro.workloads import edge_cycle, example42_tc
+from repro.workloads import edge_cycle, example42_tc, green_path, t_d
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -279,12 +271,8 @@ class TestStoreChaseCrash:
         assert result.terminated
         return theory, base, result
 
-    def _kill_subprocess(self, fault, db_path, batch_size=4096):
-        script = (
-            "import os, sys\n"
-            f"os.environ['REPRO_FAULTS'] = {fault!r}\n"
-            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
-            "from repro.storage import SQLiteStore, chase_into_store\n"
+    def _kill_subprocess(self, fault, db_path, batch_size=4096, workload=None):
+        workload = workload or (
             "from repro.logic import parse_instance, parse_theory\n"
             "theory = parse_theory(\n"
             "    'E(x, y) -> R(x, y)\\n'\n"
@@ -295,8 +283,16 @@ class TestStoreChaseCrash:
             ")\n"
             "base = parse_instance(' '.join(\n"
             "    f'E(a{i}, a{i + 1}).' for i in range(12)))\n"
-            f"store = SQLiteStore({str(db_path)!r}, batch_size={batch_size})\n"
-            "chase_into_store(theory, base, store)\n"
+            "budget = None\n"
+        )
+        script = (
+            "import os, sys\n"
+            f"os.environ['REPRO_FAULTS'] = {fault!r}\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from repro.storage import SQLiteStore, chase_into_store\n"
+            + workload
+            + f"store = SQLiteStore({str(db_path)!r}, batch_size={batch_size})\n"
+            "chase_into_store(theory, base, store, budget=budget)\n"
             "raise SystemExit('fault did not fire')\n"
         )
         proc = subprocess.run(
@@ -310,10 +306,36 @@ class TestStoreChaseCrash:
         theory, base, reference = self._reference()
         db = tmp_path / f"kill{round_}.db"
         self._kill_subprocess(f"storechase.kill@{round_}", db)
-        with open_checkpoint_store(db) as store:
+        with SQLiteStore(db) as store:
             assert int(store.get_meta("storechase.rounds")) == round_ - 1
             resumed = resume_store_chase(store)
             assert resumed.terminated
+            assert resumed.digest() == reference.digest()
+            assert_counters_match(resumed.stats, reference.stats)
+
+    def test_sigkill_on_universal_theory_resumes_exactly(self, tmp_path):
+        # T_d's (pins) rule joins the domain relation; its rows ride the
+        # round transaction, so a kill before round 2 commits leaves the
+        # domain at round 1 too and the resumed run is exact.
+        budget = ChaseBudget(max_rounds=3)
+        reference = chase_into_store(
+            t_d(), green_path(3), SQLiteStore(":memory:"), budget=budget
+        )
+        db = tmp_path / "td.db"
+        self._kill_subprocess(
+            "storechase.kill@2",
+            db,
+            workload=(
+                "from repro.chase import ChaseBudget\n"
+                "from repro.workloads import green_path, t_d\n"
+                "theory, base = t_d(), green_path(3)\n"
+                "budget = ChaseBudget(max_rounds=3)\n"
+            ),
+        )
+        with SQLiteStore(db) as store:
+            assert int(store.get_meta("storechase.rounds")) == 1
+            resumed = resume_store_chase(store, budget=ChaseBudget(max_rounds=2))
+            assert resumed.rounds_run == 3
             assert resumed.digest() == reference.digest()
             assert_counters_match(resumed.stats, reference.stats)
 
@@ -324,7 +346,7 @@ class TestStoreChaseCrash:
         # A small batch size forces the mid-round insert path to run (and
         # the kill to land) while the round's rows are still uncommitted.
         self._kill_subprocess(f"storechase.kill_midround@{round_}", db, batch_size=4)
-        with open_checkpoint_store(db) as store:
+        with SQLiteStore(db) as store:
             assert int(store.get_meta("storechase.rounds")) < round_
             resumed = resume_store_chase(store)
             assert resumed.terminated
@@ -367,52 +389,6 @@ class TestStoreChaseCrash:
         resumed = resume_store_chase(store)
         assert resumed.terminated
         assert resumed.digest() == reference.digest()
-
-
-class TestCheckpointAtomicity:
-    def setup_method(self):
-        faults.clear()
-
-    def teardown_method(self):
-        faults.clear()
-
-    def test_atomic_save_round_trips(self, tmp_path):
-        theory, base = terminating_theory(), chain(6)
-        result = chase(theory, base)
-        target = tmp_path / "ck.db"
-        save_checkpoint_atomic(result, target)
-        with open_checkpoint_store(target) as store:
-            loaded = load_checkpoint(store)
-        assert content_digest(loaded.instance) == content_digest(result.instance)
-        assert not list(tmp_path.glob("*.tmp.*"))
-
-    def test_crash_between_write_and_rename_keeps_old_file(self, tmp_path):
-        theory, base = terminating_theory(), chain(6)
-        target = tmp_path / "ck.db"
-        save_checkpoint_atomic(chase(theory, base), target)
-        before = target.read_bytes()
-        script = (
-            "import os, sys\n"
-            "os.environ['REPRO_FAULTS'] = 'checkpoint.crash'\n"
-            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
-            "from repro.chase import chase\n"
-            "from repro.storage import save_checkpoint_atomic\n"
-            "from repro.logic import parse_instance, parse_theory\n"
-            "theory = parse_theory('E(x, y) -> R(x, y)', name='crash')\n"
-            "base = parse_instance('E(a, b). E(b, c).')\n"
-            f"save_checkpoint_atomic(chase(theory, base), {str(target)!r})\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert proc.returncode == 70, proc.stderr
-        assert target.read_bytes() == before  # old checkpoint untouched
-
-    def test_corrupt_database_is_a_checkpoint_error(self, tmp_path):
-        garbage = tmp_path / "garbage.db"
-        garbage.write_bytes(b"not a sqlite file" * 64)
-        with pytest.raises(CheckpointError):
-            open_checkpoint_store(garbage)
 
 
 class TestTelemetryTimer:
@@ -487,7 +463,7 @@ class TestCLISigint:
             reference,
             budget=ChaseBudget(max_rounds=5000, max_atoms=99_999_999),
         )
-        with open_checkpoint_store(db) as store:
+        with SQLiteStore(db) as store:
             resumed = resume_store_chase(
                 store,
                 budget=ChaseBudget(max_rounds=5000, max_atoms=99_999_999),

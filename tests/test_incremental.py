@@ -278,6 +278,35 @@ class TestStoreUpdates:
                 TC, {fact("E(b, c)."), fact("E(a, c).")}
             )
 
+    def test_universal_heads_refuse_retraction_allow_addition(self):
+        theory = parse_theory(
+            "P(x) -> Q(x, y)\nQ(x, y), E(y, z) -> S(x)", name="universal-head"
+        )
+        base = {fact("P(a)."), fact("E(a, b).")}
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(theory, Instance(sorted(base, key=repr)), store, budget=BUDGET)
+            epoch = int(store.get_meta("storechase.rounds")) + 1
+            added = {fact("P(c)."), fact("E(c, d).")}
+            update_store_chase(store, theory, add=sorted(added, key=repr), budget=BUDGET)
+            assert store.digest() == scratch_digest(theory, base | added)
+            # The added facts' new terms entered the domain at the epoch.
+            rounds = {
+                store.display_of(term_id): round_
+                for term_id, round_ in store.connection.execute(
+                    "SELECT id, round FROM repro_domain"
+                )
+            }
+            assert rounds == {"a": 0, "b": 0, "c": epoch, "d": epoch}
+            digest = store.digest()
+            meta = store.get_meta("storechase.rounds")
+            with pytest.raises(ValueError, match="universal head"):
+                update_store_chase(
+                    store, theory, add=[fact("P(e).")], retract=[fact("P(a).")]
+                )
+            assert store.digest() == digest
+            assert store.get_meta("storechase.rounds") == meta
+            assert fact("P(e).") not in store
+
     def test_refuses_pre_supports_databases(self):
         with SQLiteStore(":memory:") as store:
             chase_into_store(TC, parse_instance("E(a, b)."), store, budget=BUDGET)

@@ -162,6 +162,39 @@ class TestEndToEnd:
 
         run(_with_service(body))
 
+    def test_universal_head_theory_registers_and_maintains(self):
+        """A rule with a universal head variable runs in the store chase."""
+
+        async def body(service):
+            theory = parse_theory(
+                "P(x) -> Q(x, y)\nQ(x, y), E(y, z) -> S(x)", name="universal"
+            )
+            client = await ServiceClient(service.host, service.port).connect()
+            tid = (await client.register_theory(theory))["id"]
+            await client.upload_facts(tid, parse_instance("P(a). E(a, b)"))
+            await client.append_facts(tid, parse_instance("P(c). E(c, d)"))
+            final = parse_instance("P(a). E(a, b). P(c). E(c, d)")
+            for text in ("q(x) := S(x)", "q(x) := exists y. Q(x, y)"):
+                query = parse_query(text)
+                expected = answers_digest(OMQASession(theory).answer(query, final))
+                for backend in ("memory", "columnar", "sqlite"):
+                    document = await client.query(tid, query, backend=backend)
+                    assert document["digest"] == expected, (text, backend)
+            # DRed cannot shrink the domain relation: retraction is a 409.
+            with pytest.raises(ServiceError) as excinfo:
+                await client.retract_facts(tid, parse_instance("E(a, b)"))
+            assert excinfo.value.status == 409
+            assert "universal head" in str(excinfo.value)
+            document = await client.query(
+                tid, parse_query("q(x) := S(x)"), backend="sqlite"
+            )
+            assert document["digest"] == answers_digest(
+                OMQASession(theory).answer(parse_query("q(x) := S(x)"), final)
+            )
+            await client.close()
+
+        run(_with_service(body))
+
     def test_replace_reopens_readers_and_retract_maintains(self):
         async def body(service):
             theory = parse_theory(UNIVERSITY, name="uni")

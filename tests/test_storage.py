@@ -2,9 +2,10 @@
 
 Covers the :class:`FactStore` contract on both backends, content
 digests, the id-native bulk-insert path, SQL compilation of UCQ
-rewritings, and the store-backed chase's error surface.  End-to-end
-equivalence properties live in ``test_storage_equivalence.py``;
-checkpoint/resume exactness in ``test_storage_checkpoint.py``.
+rewritings, and the store-backed chase: its error surface, its parity
+with the in-memory engine (the paper's ``T_d`` family included) and
+budget-stop/resume exactness.  End-to-end equivalence properties live
+in ``test_storage_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from repro.workloads import (
     edge_cycle,
     edge_path,
     example42_tc,
+    green_path,
+    level_path,
+    t_d,
+    t_d_k,
+    t_d_without_loop,
     university_database,
     university_ontology,
 )
@@ -307,27 +313,6 @@ class TestStoreChase:
             with pytest.raises(StoreChaseError):
                 chase_into_store(theory, edge_cycle(3), handle)
 
-    def test_rejects_universal_head_variables(self):
-        # T_d-style rules with fresh universal head variables have no
-        # Skolem reading; the store chase must refuse, not guess.
-        theory = parse_theory("P(x) -> Q(x, y)", name="universal-head")
-        with SQLiteStore(":memory:") as handle:
-            with pytest.raises(StoreChaseError):
-                chase_into_store(theory, parse_instance("P(a)"), handle)
-
-    def test_unsupported_theory_leaves_store_untouched(self):
-        # The refusal must fire before any facts or storechase.* meta
-        # land in the store, so a caller falling back to the in-memory
-        # engine (the CLI's checkpoint path) finds a clean database and
-        # a later checkpoint --resume is not hijacked by stale state.
-        theory = parse_theory("P(x) -> Q(x, y)", name="universal-head")
-        with SQLiteStore(":memory:") as handle:
-            with pytest.raises(StoreChaseError):
-                chase_into_store(theory, parse_instance("P(a)"), handle)
-            assert len(handle) == 0
-            assert handle.get_meta("storechase.schema") is None
-            assert handle.get_meta("storechase.theory") is None
-
     def test_max_atoms_raise(self):
         theory = example42_tc()
         budget = ChaseBudget(max_rounds=50, max_atoms=10, on_exceeded="raise")
@@ -370,6 +355,8 @@ class TestStoreChaseCounters:
             assert outcome.digest() == content_digest(reference.instance)
             counters = handle.stats.counters
             matches, produced, dedup, interned = counts
+            # No universal head variable, so no domain relation.
+            assert not _has_domain_table(handle)
             assert counters["chase.matches"] == matches
             assert counters["chase.atoms_produced"] == produced
             assert counters["chase.dedup_hits"] == dedup
@@ -405,6 +392,147 @@ class TestStoreChaseCounters:
                 )
             }
             assert len(children) == produced - 1
+
+
+def _has_domain_table(handle) -> bool:
+    return (
+        handle.connection.execute(
+            "SELECT 1 FROM sqlite_master WHERE name = 'repro_domain'"
+        ).fetchone()
+        is not None
+    )
+
+
+# name: (theory, base, rounds, the store's chase.matches).  The store
+# counts each trigger once per plan that finds it; the engine counts a
+# body match once per delta atom in it, so its figure is higher
+# whenever two body atoms can both be in one round's delta (T_d's grid
+# rule, the quadratic TC: 70 and 112 there, against 59 and 92 here).
+PARITY_CASES = {
+    "T_d": (t_d(), green_path(3), 3, 59),
+    "T_d-without-loop": (t_d_without_loop(), green_path(3), 3, 45),
+    "T_d^2": (t_d_k(2), level_path(3, 2), 3, 81),
+    "body-and-universal": (
+        parse_theory("P(x) -> Q(x, y)\nQ(x, y), E(y, z) -> S(x)"),
+        parse_instance("P(a). P(b). E(a, c)."),
+        5,
+        8,
+    ),
+    "two-universal": (
+        parse_theory("E(x, y) -> exists z. F(u, v, z)"),
+        parse_instance("E(a, b)."),
+        2,
+        36,
+    ),
+    "quadratic-tc": (
+        parse_theory("E(x, y) -> T(x, y)\nT(x, y), T(y, z) -> T(x, z)"),
+        edge_path(8),
+        50,
+        92,
+    ),
+}
+
+
+class TestStoreChaseParity:
+    """One SQLite path for every theory: atom-for-atom with the engine."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CASES))
+    def test_matches_memory_engine_and_resumes_exactly(self, name, tmp_path):
+        theory, base, rounds, matches = PARITY_CASES[name]
+        budget = ChaseBudget(max_rounds=rounds, max_atoms=100_000)
+        reference = chase(theory, base, budget=budget, backend="memory")
+        want = reference.stats.counters
+        with SQLiteStore(":memory:") as handle:
+            one_shot = chase_into_store(theory, base, handle, budget=budget)
+            digest = one_shot.digest()
+            assert digest == content_digest(reference.instance)
+            assert len(handle) == len(reference.instance)
+            assert one_shot.rounds_run == reference.rounds_run
+            assert one_shot.terminated == reference.terminated
+            for round_ in range(reference.rounds_run + 1):
+                assert handle.atoms_in_round(round_) == reference.round_added[round_]
+            counters = dict(handle.stats.counters)
+            for counter in ("chase.rounds", "chase.atoms_produced"):
+                assert counters[counter] == want[counter], counter
+            assert counters["chase.matches"] == matches
+            assert _has_domain_table(handle) == (name != "quadratic-tc")
+        # Budget stop after one round, resume in a fresh connection.
+        path = str(tmp_path / "resume.db")
+        with SQLiteStore(path) as handle:
+            chase_into_store(
+                theory, base, handle, budget=ChaseBudget(max_rounds=1)
+            )
+        with SQLiteStore(path) as handle:
+            resumed = resume_store_chase(
+                handle,
+                budget=ChaseBudget(max_rounds=rounds - 1, max_atoms=100_000),
+            )
+            assert resumed.digest() == digest
+            assert resumed.rounds_run == reference.rounds_run
+            for round_ in range(reference.rounds_run + 1):
+                assert handle.atoms_in_round(round_) == reference.round_added[round_]
+            for counter in ("chase.rounds", "chase.matches", "chase.atoms_produced"):
+                assert handle.stats.counters[counter] == counters[counter], counter
+
+    def test_three_backends_answer_alike(self):
+        from repro import answer
+
+        theory = parse_theory(
+            "E(x, y) -> T(x, y)\n"
+            "T(x, y), E(y, z) -> T(x, z)\n"
+            "P(x) -> Q(x, y)\n"
+            "Q(x, y), T(y, x) -> S(x)",
+            name="universal-join",
+        )
+        query = parse_query("q(u) := S(u)")
+        facts = parse_instance("P(a). E(a, b). E(b, a). E(b, c).")
+        for backend in ("memory", "columnar", "sqlite"):
+            answers = answer(theory, query, facts, backend=backend)
+            assert {tuple(map(repr, row)) for row in answers} == {("a",)}, backend
+
+
+class TestStoreChaseResume:
+    def test_budget_stop_then_resume_matches_one_shot(self, tmp_path):
+        theory = example42_tc()
+        cycle = edge_cycle(5)
+        one_shot = chase(theory, cycle, budget=ChaseBudget(max_rounds=6, max_atoms=500_000))
+        path = str(tmp_path / "chase.db")
+        with SQLiteStore(path) as store:
+            chase_into_store(
+                theory, cycle, store, budget=ChaseBudget(max_rounds=2, max_atoms=500_000)
+            )
+        # Resume in a fresh connection, theory re-parsed from the store.
+        with SQLiteStore(path) as store:
+            outcome = resume_store_chase(
+                store, budget=ChaseBudget(max_rounds=4, max_atoms=500_000)
+            )
+            assert outcome.rounds_run == one_shot.rounds_run
+            assert outcome.digest() == content_digest(one_shot.instance)
+            for round_ in range(one_shot.rounds_run + 1):
+                assert store.atoms_in_round(round_) == one_shot.round_added[round_]
+            counters = outcome.stats.counters
+            reference = one_shot.stats.counters
+            for name in ("chase.rounds", "chase.matches", "chase.atoms_produced"):
+                assert counters[name] == reference[name], name
+
+    def test_resume_terminated_store_is_idempotent(self, tmp_path):
+        theory = parse_theory("E(x, y) -> R(x, y)", name="one-step")
+        base = parse_instance("E(a, b). E(b, c)")
+        path = str(tmp_path / "chase.db")
+        with SQLiteStore(path) as store:
+            first = chase_into_store(theory, base, store)
+            assert first.terminated
+            digest = first.digest()
+        with SQLiteStore(path) as store:
+            again = resume_store_chase(store)
+            assert again.terminated
+            assert again.digest() == digest
+
+    def test_resume_requires_state(self):
+        with SQLiteStore(":memory:") as store:
+            store.add_many(parse_instance("E(a, b)"))
+            with pytest.raises(StoreChaseError):
+                resume_store_chase(store)
 
 
 class _ShiftedClock:
